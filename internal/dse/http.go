@@ -1,50 +1,33 @@
 package dse
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"r3dla/internal/exp"
 	"r3dla/internal/lab"
 	"r3dla/internal/sweep"
 )
 
-// StreamLine is one NDJSON line of a POST /v1/explore response: a "cell"
-// line per completed evaluation (in completion order; Done/Total are
-// relative to the current search batch), then exactly one terminal line
-// — "result" carrying the exploration report, or "error".
-type StreamLine struct {
-	Event   string         `json:"event"` // "cell", "result", "error"
-	Done    int            `json:"done,omitempty"`
-	Total   int            `json:"total,omitempty"`
-	Cell    *sweep.Cell    `json:"cell,omitempty"`
-	Run     *lab.RunResult `json:"run,omitempty"`
-	Resumed bool           `json:"resumed,omitempty"`
-	Result  *exp.Report    `json:"result,omitempty"`
-	Error   string         `json:"error,omitempty"`
-}
-
 // NewHandler returns the POST /v1/explore handler over l: the body is an
 // exploration Spec (JSON), the response an NDJSON stream of completed
 // cells followed by the exploration report. Validation failures are
-// proper 400s before the stream commits to 200. Explorations are
-// admitted through g exactly like runs and sweeps; the server journals
-// nothing — cross-request reuse comes from the Lab's singleflight result
-// cache instead.
+// proper 400s before the stream commits to 200, and its lines are
+// sweep.StreamLines. Explorations are admitted through g exactly like
+// runs and sweeps; the server journals nothing — cross-request reuse
+// comes from the Lab's memo instead.
 func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
 	tiers := &sweep.TierRunners{Lab: l}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", lab.ErrInvalid, err))
+			lab.WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", lab.ErrInvalid, err))
 			return
 		}
 		spec, err := ParseSpec(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		// Normalize and open the space up front so bad strategies, bad
@@ -52,19 +35,16 @@ func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
 		// not mid-stream errors.
 		spec, err = spec.normalize()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if _, err := NewSpace(spec.Space); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if g != nil {
-			if max := g.MaxBudget(); max > 0 && spec.Space.Budget > max {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%w: budget %d exceeds server cap %d", lab.ErrInvalid, spec.Space.Budget, max))
-				return
-			}
+		if err := sweep.CheckBudget(g, spec.Space.Budget); err != nil {
+			lab.WriteError(w, http.StatusBadRequest, err)
+			return
 		}
 
 		// Resolve the runners before the stream commits to 200: the base
@@ -75,7 +55,7 @@ func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
 		// no simulation happens until cells run.
 		runner, err := tiers.Runner(spec.Space.Fidelity, spec.Space.Budget, uint64(spec.Seed))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		var topts *Tiers
@@ -83,63 +63,18 @@ func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
 			analytic, aerr := tiers.Runner(sweep.TierAnalytic, spec.Space.Budget, uint64(spec.Seed))
 			mc, merr := tiers.Runner(sweep.TierMC, spec.Space.Budget, uint64(spec.Seed))
 			if aerr != nil || merr != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("%w: fidelity ladder tiers unavailable", lab.ErrInvalid))
+				lab.WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: fidelity ladder tiers unavailable", lab.ErrInvalid))
 				return
 			}
 			topts = &Tiers{Analytic: analytic, MC: mc}
 		}
 
-		var release func()
-		if g != nil {
-			var ok bool
-			if release, ok = g.Admit(w, r); !ok {
-				return
+		sweep.ServeCells(w, r, g, func(progress func(sweep.Event)) (*exp.Report, error) {
+			res, err := Explore(r.Context(), runner, spec, Options{Progress: progress, Tiers: topts})
+			if err != nil {
+				return nil, err
 			}
-			defer release()
-		}
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		var mu sync.Mutex
-		enc := json.NewEncoder(w)
-		emit := func(line StreamLine) {
-			mu.Lock()
-			defer mu.Unlock()
-			enc.Encode(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-
-		res, err := Explore(r.Context(), runner, spec, Options{
-			Progress: func(ev sweep.Event) {
-				c := ev.Cell
-				emit(StreamLine{
-					Event: "cell", Done: ev.Done, Total: ev.Total,
-					Cell: &c, Run: ev.Result, Resumed: ev.Resumed,
-				})
-			},
-			Tiers: topts,
+			return res.Report(), nil
 		})
-		if g != nil {
-			g.Observe(r.Context(), err)
-		}
-		if err != nil {
-			emit(StreamLine{Event: "error", Error: err.Error()})
-			return
-		}
-		emit(StreamLine{Event: "result", Result: res.Report()})
 	})
-}
-
-// writeError mirrors the lab server's error body shape.
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

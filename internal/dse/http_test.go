@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"r3dla/internal/lab"
+	"r3dla/internal/sweep"
 )
 
 // newTestServer builds the service shape cmd/r3dlad wires: the lab
@@ -50,11 +51,11 @@ func TestExploreEndpointStreams(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content-type %q", ct)
 	}
-	var lines []StreamLine
+	var lines []sweep.StreamLine
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line StreamLine
+		var line sweep.StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}

@@ -21,6 +21,7 @@ import (
 	"r3dla/internal/core"
 	"r3dla/internal/emu"
 	"r3dla/internal/isa"
+	"r3dla/internal/memo"
 	"r3dla/internal/memsys"
 	"r3dla/internal/pipeline"
 	"r3dla/internal/workloads"
@@ -46,9 +47,9 @@ type Event struct {
 // Context carries budgets, memoizes per-workload preparation (profiling +
 // skeleton generation) and standard-configuration runs across
 // experiments, and owns the bounded worker pool every simulation is
-// dispatched to. A Context is safe for concurrent use: memoization is
-// singleflight-style (two experiments asking for the same prepared
-// workload block on one preparation instead of repeating it), and all
+// dispatched to. A Context is safe for concurrent use: memoization goes
+// through internal/memo (two experiments asking for the same prepared
+// workload wait on one preparation instead of repeating it), and all
 // results are deterministic regardless of scheduling order.
 type Context struct {
 	Budget      uint64 // evaluation budget (committed MT instructions)
@@ -60,8 +61,9 @@ type Context struct {
 	Jobs int
 
 	// Progress, when non-nil, receives an Event after every completed
-	// preparation and memoized run. It may be called from multiple
-	// goroutines and must be safe for that.
+	// preparation and memoized run, including those of calls that waited
+	// on another caller's. It may be called from multiple goroutines and
+	// must be safe for that.
 	Progress func(Event)
 
 	// LogW receives Verbose per-workload detail lines (default
@@ -74,7 +76,12 @@ type Context struct {
 	// Set before first use.
 	Cache PrepCache
 
-	ctx context.Context // cancellation; nil means background
+	ctx context.Context // cancellation (Background from NewContext)
+
+	// watcher names Progress to the memos, which deliver each event once
+	// per watcher: it points at the Progress field of the Context that
+	// installed the observer, so WithCancel copies share it.
+	watcher *func(Event)
 
 	state *sharedState // pool + memoization, shared with WithCancel copies
 }
@@ -87,76 +94,13 @@ type sharedState struct {
 	semOnce sync.Once
 	sem     chan struct{}
 
+	prepared memo.Memo[*Prepared, Event]
+	runs     memo.Memo[*core.Results, Event]
+
 	mu        sync.Mutex
-	prepared  map[string]*prepEntry
-	runs      map[string]*runEntry
 	prepCount map[string]int // times preparation actually executed, per workload
 	runCount  int            // memoized simulations actually executed (cache misses)
 }
-
-// entry is a panic-safe singleflight cell: the first caller (the
-// leader) computes while later callers for the same key wait. Unlike
-// sync.Once, a panicking computation (cancellation aborts runs by
-// panicking out of the pool) leaves the entry unfilled, so reusing the
-// Context after a canceled run recomputes instead of returning nil.
-type entry[T any] struct {
-	mu      sync.Mutex
-	running bool
-	done    bool
-	val     T
-	wake    chan struct{} // closed when the current leader finishes (either way)
-}
-
-// do returns the memoized value, computing it via f if needed. f runs
-// at most once concurrently; on panic the entry stays empty for retry
-// (a waiter takes over as the new leader). Waiters are interruptible:
-// when cancel fires they call onCancel (which must not return normally
-// — it panics the engine's cancellation sentinel) instead of blocking
-// for the leader's whole simulation. A nil cancel channel never fires.
-func (e *entry[T]) do(cancel <-chan struct{}, onCancel func(), f func() T) T {
-	e.mu.Lock()
-	for {
-		if e.done {
-			v := e.val
-			e.mu.Unlock()
-			return v
-		}
-		if !e.running {
-			break // become the leader
-		}
-		wake := e.wake
-		e.mu.Unlock()
-		select {
-		case <-wake:
-		case <-cancel:
-			onCancel()
-		}
-		e.mu.Lock()
-	}
-	e.running = true
-	wake := make(chan struct{})
-	e.wake = wake
-	e.mu.Unlock()
-
-	ok := false
-	var v T
-	defer func() {
-		e.mu.Lock()
-		e.running = false
-		if ok {
-			e.val, e.done = v, true
-		}
-		e.wake = nil
-		e.mu.Unlock()
-		close(wake)
-	}()
-	v = f()
-	ok = true
-	return v
-}
-
-type prepEntry = entry[*Prepared]
-type runEntry = entry[*core.Results]
 
 // NewContext returns a Context with the given evaluation budget (0 means
 // the default 150k instructions).
@@ -164,15 +108,14 @@ func NewContext(budget uint64) *Context {
 	if budget == 0 {
 		budget = 150_000
 	}
-	return &Context{
+	c := &Context{
 		Budget:      budget,
 		TrainBudget: budget / 2,
-		state: &sharedState{
-			prepared:  make(map[string]*prepEntry),
-			runs:      make(map[string]*runEntry),
-			prepCount: make(map[string]int),
-		},
+		ctx:         context.Background(),
+		state:       &sharedState{prepCount: make(map[string]int)},
 	}
+	c.watcher = &c.Progress
+	return c
 }
 
 // WithCancel returns a shallow copy of c whose operations abort once ctx
@@ -190,6 +133,7 @@ func (c *Context) WithCancel(ctx context.Context) *Context {
 func (c *Context) WithProgress(f func(Event)) *Context {
 	cc := *c
 	cc.Progress = f
+	cc.watcher = &cc.Progress
 	return &cc
 }
 
@@ -202,7 +146,8 @@ func (c *Context) initSem() {
 }
 
 // canceled is the sentinel the pool panics with when the Context's
-// cancellation fires; Run recovers it into the experiment's error.
+// cancellation fires (or a memoized computation it waited on failed);
+// Run recovers it into the experiment's error.
 type canceled struct{ err error }
 
 // CancelError unwraps the panic value the engine uses to abort canceled
@@ -223,13 +168,13 @@ func (c *Context) checkCanceled() {
 	}
 }
 
-// cancelCh returns the channel singleflight waiters select on; nil (a
-// never-firing channel) when the Context has no cancellation.
-func (c *Context) cancelCh() <-chan struct{} {
-	if c.ctx == nil {
-		return nil
+// abort panics the cancellation sentinel with err, if any, and then
+// checks the Context's own cancellation.
+func (c *Context) abort(err error) {
+	if err != nil {
+		panic(canceled{err})
 	}
-	return c.ctx.Done()
+	c.checkCanceled()
 }
 
 // Do runs f on the worker pool: it blocks for a slot (respecting Jobs),
@@ -315,24 +260,31 @@ func (c *Context) RunCached(key string, p *Prepared, opt core.Options) *core.Res
 // request pick its own); the budget is folded into the memoization key so
 // different budgets never alias.
 func (c *Context) RunCachedAt(key string, p *Prepared, opt core.Options, budget uint64) *core.Results {
+	return c.RunShared(key, p, opt, budget, nil, nil)
+}
+
+// RunShared is RunCachedAt for a caller that acts on the simulation it
+// shares: joined runs when the call starts waiting on a simulation
+// another caller started, and fresh receives the result of a simulation
+// this call ran, before any caller waiting on it wakes. Either may be
+// nil. The simulation runs under a context that ends only when every
+// caller waiting on it has gone.
+func (c *Context) RunShared(key string, p *Prepared, opt core.Options, budget uint64, joined func(), fresh func(*core.Results)) *core.Results {
 	k := fmt.Sprintf("%s/%s@%d", p.W.Name, key, budget)
-	c.state.mu.Lock()
-	e, ok := c.state.runs[k]
-	if !ok {
-		e = &runEntry{}
-		c.state.runs[k] = e
-	}
-	c.state.mu.Unlock()
-	r := e.do(c.cancelCh(), c.checkCanceled, func() *core.Results {
+	w := memo.Watcher[Event]{Events: c.watcher, Joined: joined}
+	r, err := c.state.runs.Watch(c.ctx, k, w, func(ctx context.Context, emit func(Event)) (*core.Results, error) {
 		start := time.Now()
-		res := c.RunDLAAt(p, opt, budget)
+		res := c.WithCancel(ctx).RunDLAAt(p, opt, budget)
 		c.state.mu.Lock()
 		c.state.runCount++
 		c.state.mu.Unlock()
-		c.emit(Event{Stage: "run", Workload: p.W.Name, Key: key, Elapsed: time.Since(start)})
-		return res
+		emit(Event{Stage: "run", Workload: p.W.Name, Key: key, Elapsed: time.Since(start)})
+		if fresh != nil {
+			fresh(res)
+		}
+		return res, nil
 	})
-	c.checkCanceled()
+	c.abort(err)
 	return r
 }
 
@@ -367,27 +319,22 @@ func (p *Prepared) Image() *emu.Memory {
 }
 
 // Prep profiles and generates skeletons for one workload. Preparation is
-// memoized with singleflight semantics: under concurrency it executes
-// exactly once per workload, and every caller gets the same *Prepared.
+// memoized: under concurrency it executes exactly once per workload, and
+// every caller gets the same *Prepared.
 func (c *Context) Prep(name string) *Prepared {
-	c.state.mu.Lock()
-	e, ok := c.state.prepared[name]
-	if !ok {
-		e = &prepEntry{}
-		c.state.prepared[name] = e
-	}
-	c.state.mu.Unlock()
-	p := e.do(c.cancelCh(), c.checkCanceled, func() *Prepared {
+	w := memo.Watcher[Event]{Events: c.watcher}
+	p, err := c.state.prepared.Watch(c.ctx, name, w, func(ctx context.Context, emit func(Event)) (*Prepared, error) {
 		start := time.Now()
+		fc := c.WithCancel(ctx)
 		var val *Prepared
-		c.Do(func() { val = c.prep(name) })
+		fc.Do(func() { val = fc.prep(name) })
 		c.state.mu.Lock()
 		c.state.prepCount[name]++
 		c.state.mu.Unlock()
-		c.emit(Event{Stage: "prep", Workload: name, Elapsed: time.Since(start)})
-		return val
+		emit(Event{Stage: "prep", Workload: name, Elapsed: time.Since(start)})
+		return val, nil
 	})
-	c.checkCanceled()
+	c.abort(err)
 	return p
 }
 

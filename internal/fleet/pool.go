@@ -11,6 +11,7 @@ import (
 
 	"r3dla/internal/exp"
 	"r3dla/internal/lab"
+	"r3dla/internal/memo"
 )
 
 // Pool routes requests across a set of backends. Dispatch is least-loaded
@@ -24,10 +25,10 @@ import (
 // first carries the same bytes.
 //
 // The pool memoizes run results under the canonical
-// workload|configKey@budget key with singleflight semantics, mirroring
-// the Lab's own cache: concurrent identical cells collapse onto one
-// dispatch, and overlapping sweeps share results client-side no matter
-// which backend computed them.
+// workload|configKey@budget key in an internal/memo, as the Lab does:
+// concurrent identical cells collapse onto one dispatch, which a caller
+// going away does not cancel while another still waits, and overlapping
+// sweeps share results client-side no matter which backend computed them.
 type Pool struct {
 	members []*member
 
@@ -40,11 +41,8 @@ type Pool struct {
 	brkThreshold int           // consecutive hard faults to open a member's breaker (0 = disabled)
 	brkCooldown  time.Duration // first open window (0 = probeEvery)
 
-	mu      sync.Mutex
-	results map[string]*lab.RunResult
-	calls   map[string]*flight
-
-	calls64 atomic.Int64 // backend calls actually issued (retries and hedges count)
+	results memo.Memo[*lab.RunResult, struct{}]
+	issued  atomic.Int64 // backend calls actually issued (retries and hedges count)
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -63,13 +61,6 @@ type member struct {
 	backoff   time.Duration
 	nextProbe time.Time
 	lastErr   error
-}
-
-// flight is one in-progress singleflight dispatch.
-type flight struct {
-	done chan struct{}
-	res  *lab.RunResult
-	err  error
 }
 
 // PoolOption configures a Pool.
@@ -152,8 +143,6 @@ func NewPool(backends []Backend, opts ...PoolOption) (*Pool, error) {
 		probeEvery:   5 * time.Second,
 		probeTimeout: 3 * time.Second,
 		brkThreshold: 5,
-		results:      make(map[string]*lab.RunResult),
-		calls:        make(map[string]*flight),
 		stop:         make(chan struct{}),
 	}
 	for _, b := range backends {
@@ -197,7 +186,7 @@ func (p *Pool) Close() error {
 // BackendCalls reports how many requests were actually issued to members
 // (cache hits excluded; retries and hedges each count). The resume and
 // dedup tests assert against it the way lab.RunCount is asserted locally.
-func (p *Pool) BackendCalls() int64 { return p.calls64.Load() }
+func (p *Pool) BackendCalls() int64 { return p.issued.Load() }
 
 // MemberStatus is one member's routing view.
 type MemberStatus struct {
@@ -231,47 +220,11 @@ func (p *Pool) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, err
 		return nil, err
 	}
 	key := lab.RunKey(req.Workload, cfg, req.Budget)
-	for {
-		p.mu.Lock()
-		if res, ok := p.results[key]; ok {
-			p.mu.Unlock()
-			return res, nil
-		}
-		if fl, ok := p.calls[key]; ok {
-			p.mu.Unlock()
-			select {
-			case <-fl.done:
-				if fl.err == nil {
-					return fl.res, nil
-				}
-				// The leader failed. If it failed because its own caller
-				// went away, take over as the new leader; any other error
-				// (validation, exhausted retries) is this caller's too.
-				if errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded) {
-					continue
-				}
-				return nil, fl.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		fl := &flight{done: make(chan struct{})}
-		p.calls[key] = fl
-		p.mu.Unlock()
-
-		res, err := dispatch(ctx, p, key, func(ctx context.Context, m *member) (*lab.RunResult, error) {
+	return p.results.Do(ctx, key, func(ctx context.Context) (*lab.RunResult, error) {
+		return dispatch(ctx, p, key, func(ctx context.Context, m *member) (*lab.RunResult, error) {
 			return m.b.Run(ctx, req)
 		})
-		p.mu.Lock()
-		delete(p.calls, key)
-		if err == nil {
-			p.results[key] = res
-		}
-		p.mu.Unlock()
-		fl.res, fl.err = res, err
-		close(fl.done)
-		return res, err
-	}
+	})
 }
 
 // Experiment regenerates one artifact somewhere in the fleet (at the
@@ -418,7 +371,7 @@ func dispatch[T any](ctx context.Context, p *Pool, key string, call func(context
 // backend fault demotes the member so the prober owns its recovery (an
 // overloaded member stays healthy — it answered, it is just full).
 func runMember[T any](ctx context.Context, p *Pool, m *member, call func(context.Context, *member) (T, error)) (T, error) {
-	p.calls64.Add(1)
+	p.issued.Add(1)
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	res, err := call(ctx, m)

@@ -284,6 +284,56 @@ func TestPoolSingleflight(t *testing.T) {
 	}
 }
 
+// TestPoolLeaderCancelKeepsDispatch: a leader whose caller goes away
+// mid-dispatch, while another caller waits on the same cell, does not
+// cancel the dispatch; the waiter gets its answer from the one backend
+// call instead of dispatching again.
+func TestPoolLeaderCancelKeepsDispatch(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	b0 := &fakeBackend{name: "b0", run: func(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
+		once.Do(func() { close(started) })
+		select {
+		case <-release:
+			return okRun("b0")(ctx, req)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}}
+	p := newTestPool(t, []Backend{b0})
+
+	lctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, err := p.Run(lctx, testReq(100))
+		leader <- err
+	}()
+	<-started
+	waiter := make(chan *lab.RunResult, 1)
+	go func() {
+		res, err := p.Run(context.Background(), testReq(100))
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		waiter <- res
+	}()
+	// Let the waiter join the leader's flight, then cut the leader.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if res := <-waiter; res == nil {
+		t.Fatal("the waiter got no result")
+	}
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled leader returned %v, want context.Canceled", err)
+	}
+	if got := p.BackendCalls(); got != 1 {
+		t.Fatalf("a canceled leader with a waiter left cost %d backend calls, want 1", got)
+	}
+}
+
 // TestPoolOverloadBackpressure: admission-control shedding (503) is
 // backpressure, not death — the pool prefers another member, or waits
 // for capacity, and the shedding member is never marked down.

@@ -7,6 +7,7 @@ package lab
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -159,6 +160,59 @@ func TestServerCoalescingSurvivesCancel(t *testing.T) {
 		t.Fatalf("shared run executed %d times, want 1", c)
 	}
 	waitStats(t, srv.URL, func(st Stats) bool { return st.Canceled == 1 && st.Completed == 1 })
+}
+
+// TestServerCoalescedStreamsSeeProgress: a streaming /v1/runs that joins
+// another request's simulation still receives that simulation's progress
+// event before its result line, and the two share one simulation.
+func TestServerCoalescedStreamsSeeProgress(t *testing.T) {
+	srv, l := newTestService(t)
+	body := `{"workload":"mcf","config":{"preset":"dla"},"budget":300000}`
+	stream := func() ([]StreamLine, error) {
+		resp, err := http.Post(srv.URL+"/v1/runs?stream=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var lines []StreamLine
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var line StreamLine
+			if err := dec.Decode(&line); err == io.EOF {
+				return lines, nil
+			} else if err != nil {
+				return nil, err
+			}
+			lines = append(lines, line)
+		}
+	}
+	got := make([][]StreamLine, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = stream()
+		}()
+		if i == 0 {
+			waitStats(t, srv.URL, func(st Stats) bool { return st.Inflight >= 1 })
+		}
+	}
+	waitStats(t, srv.URL, func(st Stats) bool { return st.Coalesced >= 1 })
+	wg.Wait()
+	for i, lines := range got {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
+		}
+		n := len(lines)
+		if n < 2 || lines[n-2].Event != "run" || lines[n-1].Event != "result" {
+			t.Fatalf("stream %d: want a run line then the result line, got %+v", i, lines)
+		}
+	}
+	if c := l.RunCount(); c != 1 {
+		t.Fatalf("two coalesced streams executed %d simulations, want 1", c)
+	}
 }
 
 // TestServerResultStoreRestart is the durable-tier contract: a fresh

@@ -38,9 +38,10 @@ type (
 
 // Lab is the simulation client: it owns budgets and a bounded worker
 // pool, and memoizes per-workload preparation and configuration runs
-// across every request it serves (singleflight — concurrent requests for
-// the same work block on one computation). A Lab is safe for concurrent
-// use; the r3dlad service serves all requests from one shared Lab.
+// across every request it serves (internal/memo — concurrent requests for
+// the same work wait on one computation). A Lab is safe for concurrent
+// use; the r3dlad service serves all requests from one shared Lab, and
+// coalesces identical /v1/runs through its memo.
 type Lab struct {
 	c *exp.Context
 
@@ -307,15 +308,27 @@ func (l *Lab) RunConfig(ctx context.Context, workload string, cfg Config, budget
 // RunPrepared runs a configuration on already-prepared material (named
 // workloads from Prepare, or custom programs from PrepareProgram).
 func (l *Lab) RunPrepared(ctx context.Context, p *Prepared, cfg Config, budget uint64) (*RunResult, error) {
+	return l.runPrepared(ctx, p, cfg, budget, nil, nil)
+}
+
+// runPrepared is RunPrepared with the run memo's hooks (see
+// exp.Context.RunShared): joined runs when the call starts waiting on a
+// simulation another caller started, and keep receives the result of a
+// simulation this call ran, before any caller waiting on it wakes.
+func (l *Lab) runPrepared(ctx context.Context, p *Prepared, cfg Config, budget uint64, joined func(), keep func(*RunResult)) (*RunResult, error) {
 	if cfg.preset == "" {
 		return nil, fmt.Errorf("%w: zero Config (use lab.NewConfig)", ErrInvalid)
 	}
 	if budget == 0 {
 		budget = l.c.Budget
 	}
+	var fresh func(*core.Results)
+	if keep != nil {
+		fresh = func(r *core.Results) { keep(newRunResult(p.W.Name, cfg, budget, r)) }
+	}
 	var res *core.Results
 	err := l.guarded(ctx, func(c *exp.Context) {
-		res = c.RunCachedAt(cfg.Key(), p, cfg.SystemOptions(), budget)
+		res = c.RunShared(cfg.Key(), p, cfg.SystemOptions(), budget, joined, fresh)
 	})
 	if err != nil {
 		return nil, err

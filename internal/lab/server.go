@@ -50,8 +50,8 @@ const (
 const ResultsFingerprint uint64 = 1
 
 // Server is the r3dlad HTTP handler: a JSON/NDJSON API over one shared
-// Lab, so every request hits the same singleflight caches and the same
-// bounded worker pool (the server-wide job semaphore).
+// Lab, so every request hits the same memo and the same bounded worker
+// pool (the server-wide job semaphore).
 //
 //	GET  /v1/healthz              liveness + request counters
 //	GET  /v1/stats                load + admission policy (the fleet router balances on it)
@@ -61,9 +61,10 @@ const ResultsFingerprint uint64 = 1
 //	POST /v1/experiments/{id}     regenerate one artifact (?stream=1 for NDJSON progress)
 //	POST /v1/runs                 one simulation: RunRequest -> RunResult (?stream=1 likewise)
 //
-// Identical concurrent /v1/runs coalesce server-side into one shared
-// simulation (see runShared), and — when a result store is configured —
-// finished answers persist across restarts.
+// Identical concurrent /v1/runs coalesce into one simulation through the
+// Lab's memo, which cancels it only when every request waiting on it has
+// gone, and — when a result store is configured — finished answers
+// persist across restarts.
 type Server struct {
 	lab   *Lab
 	mux   *http.ServeMux
@@ -85,11 +86,7 @@ type Server struct {
 
 	faults *faultinject.Plane // injection plane for chaos runs (nil = off)
 
-	// Cross-client coalescing: at most one simulation per run key is in
-	// flight server-wide.
-	flightMu  sync.Mutex
-	flights   map[string]*runFlight
-	coalesced atomic.Int64 // requests that joined another request's flight
+	coalesced atomic.Int64 // /v1/runs requests that joined a running simulation
 
 	active    atomic.Int64 // simulation requests in flight
 	completed atomic.Int64 // simulation requests answered 200
@@ -152,10 +149,9 @@ func WithResultStore(st *resultstore.Store) ServerOption {
 // NewServer builds the service handler over a shared Lab.
 func NewServer(l *Lab, opts ...ServerOption) *Server {
 	s := &Server{
-		lab:     l,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		flights: make(map[string]*runFlight),
+		lab:   l,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	for _, o := range opts {
 		o(s)
@@ -168,7 +164,7 @@ func NewServer(l *Lab, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("POST /v1/experiments/{id}", s.handleExperiment)
 	s.mux.HandleFunc("POST /v1/runs", s.handleRun)
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such endpoint: %s %s", r.Method, r.URL.Path))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no such endpoint: %s %s", r.Method, r.URL.Path))
 	})
 	return s
 }
@@ -221,7 +217,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError writes err as the JSON error body every endpoint answers
+// with, extension handlers included.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
@@ -287,10 +285,10 @@ func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request) (release f
 			s.admMu.Unlock()
 			s.classes[class].shed.Add(1)
 			if overClass && !overTotal {
-				writeError(w, http.StatusServiceUnavailable,
+				WriteError(w, http.StatusServiceUnavailable,
 					errors.New("server at batch capacity (interactive reserve), retry later"))
 			} else {
-				writeError(w, http.StatusServiceUnavailable, errors.New("server at capacity, retry later"))
+				WriteError(w, http.StatusServiceUnavailable, errors.New("server at capacity, retry later"))
 			}
 			return nil, false
 		}
@@ -331,7 +329,7 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, err error) {
 		w.WriteHeader(StatusClientClosedRequest)
 		return
 	}
-	writeError(w, status, err)
+	WriteError(w, status, err)
 }
 
 // ------------------------------------------------------ result store IO
@@ -467,7 +465,7 @@ func (s *Server) handleListWorkloads(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := ExperimentByID(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownExperiment, id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownExperiment, id))
 		return
 	}
 	release, ok := s.admitRequest(w, r)
@@ -477,9 +475,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	if r.URL.Query().Get("stream") != "" {
-		s.streamRequest(w, r, func(l *Lab) (any, error) {
-			rep, err := l.Experiment(r.Context(), ExperimentRequest{ID: id})
-			return rep, err
+		s.stream(w, r, func(l *Lab) (any, error) {
+			return l.Experiment(r.Context(), ExperimentRequest{ID: id})
 		})
 		return
 	}
@@ -516,7 +513,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			// Shed exactly like admission does, so clients exercise their
 			// normal 503 backpressure path (fleet maps it to ErrOverloaded).
 			s.classes[requestClass(r)].shed.Add(1)
-			writeError(w, http.StatusServiceUnavailable,
+			WriteError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("injected shed: %v", o.Err))
 			return
 		}
@@ -525,11 +522,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrInvalid, err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrInvalid, err))
 		return
 	}
 	if s.maxBudget > 0 && req.Budget > s.maxBudget {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("%w: budget %d exceeds server cap %d", ErrInvalid, req.Budget, s.maxBudget))
 		return
 	}
@@ -538,11 +535,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// response commits to status 200.
 	cfg, err := req.Config.Config()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if workloads.ByName(req.Workload) == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownWorkload, req.Workload))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownWorkload, req.Workload))
 		return
 	}
 	// The canonical identity of this simulation — the same key the Lab's
@@ -559,11 +556,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// to a cold run's response (RunResult's JSON encoding is
 	// deterministic).
 	if res, ok := s.storeGet(key); ok {
-		s.observe(r.Context(), nil)
 		if stream {
-			s.writeStreamResult(w, res)
+			s.stream(w, r, func(*Lab) (any, error) { return res, nil })
 			return
 		}
+		s.observe(r.Context(), nil)
 		writeJSON(w, http.StatusOK, res)
 		return
 	}
@@ -574,12 +571,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// Identical requests share one simulation through the Lab's memo. The
+	// request that runs it writes the answer to the store before any
+	// request waiting on it wakes.
+	run := func(l *Lab) (*RunResult, error) {
+		p, err := l.Prepare(r.Context(), req.Workload)
+		if err != nil {
+			return nil, err
+		}
+		return l.runPrepared(r.Context(), p, cfg, budget,
+			func() { s.coalesced.Add(1) },
+			func(res *RunResult) { s.storePut(key, res) })
+	}
 	if stream {
-		s.streamRun(w, r, key, req)
+		s.stream(w, r, func(l *Lab) (any, error) { return run(l) })
 		return
 	}
-
-	res, err := s.runShared(r.Context(), key, req, nil)
+	res, err := run(s.lab)
 	if err != nil {
 		s.finish(w, r, err)
 		return
@@ -603,83 +611,49 @@ type StreamLine struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// writeStreamResult answers a ?stream=1 request whose result needed no
-// computation (a store hit): just the terminal line.
-func (s *Server) writeStreamResult(w http.ResponseWriter, res *RunResult) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(StreamLine{Event: "result", Result: res})
-}
-
-// streamRun is the ?stream=1 path of /v1/runs, through the coalescing
-// layer: progress events come from the shared flight (which may have
-// been started by another client).
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, key string, req RunRequest) {
+// Stream answers a validated, admitted request as NDJSON, the one way
+// every streaming endpoint does: status 200, the progress lines run
+// writes through emit (each flushed at once; emit is safe for concurrent
+// use), then one terminal line, "result" carrying run's value or
+// "error", which the handler's return flushes. observe classifies run's
+// outcome before the terminal line is written.
+func Stream(w http.ResponseWriter, observe func(error), run func(emit func(line any)) (any, error)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var mu sync.Mutex
 	enc := json.NewEncoder(w)
-	emit := func(line StreamLine) {
+	res, err := run(func(line any) {
 		mu.Lock()
 		defer mu.Unlock()
 		enc.Encode(line)
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-
-	res, err := s.runShared(r.Context(), key, req, func(ev Event) {
-		emit(StreamLine{
-			Event:     ev.Stage,
-			Workload:  ev.Workload,
-			Key:       ev.Key,
-			ID:        ev.Exp,
-			ElapsedMS: float64(ev.Elapsed.Microseconds()) / 1000,
-		})
 	})
+	observe(err)
+	last := StreamLine{Event: "result", Result: res}
 	if err != nil {
-		s.observe(r.Context(), err)
-		emit(StreamLine{Event: "error", Error: err.Error()})
-		return
+		last = StreamLine{Event: "error", Error: err.Error()}
 	}
-	s.observe(r.Context(), nil)
-	emit(StreamLine{Event: "result", Result: res})
+	mu.Lock()
+	defer mu.Unlock()
+	enc.Encode(last)
 }
 
-// streamRequest runs f with a progress-observing Lab and writes NDJSON:
-// one line per engine event, then the terminal result/error line. (The
-// experiment endpoint's streaming path; runs go through streamRun.)
-func (s *Server) streamRequest(w http.ResponseWriter, r *http.Request, f func(l *Lab) (any, error)) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	emit := func(line StreamLine) {
-		mu.Lock()
-		defer mu.Unlock()
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	ll := s.lab.WithProgress(func(ev Event) {
-		emit(StreamLine{
-			Event:     ev.Stage,
-			Workload:  ev.Workload,
-			Key:       ev.Key,
-			ID:        ev.Exp,
-			ElapsedMS: float64(ev.Elapsed.Microseconds()) / 1000,
-		})
+// stream answers a ?stream=1 request: f runs on a Lab whose engine events
+// become progress lines.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, f func(l *Lab) (any, error)) {
+	observe := func(err error) { s.observe(r.Context(), err) }
+	Stream(w, observe, func(emit func(any)) (any, error) {
+		return f(s.lab.WithProgress(func(ev Event) {
+			emit(StreamLine{
+				Event:     ev.Stage,
+				Workload:  ev.Workload,
+				Key:       ev.Key,
+				ID:        ev.Exp,
+				ElapsedMS: float64(ev.Elapsed.Microseconds()) / 1000,
+			})
+		}))
 	})
-	res, err := f(ll)
-	if err != nil {
-		s.observe(r.Context(), err)
-		emit(StreamLine{Event: "error", Error: err.Error()})
-		return
-	}
-	s.observe(r.Context(), nil)
-	emit(StreamLine{Event: "result", Result: res})
 }

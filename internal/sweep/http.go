@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,9 +23,11 @@ type Gate interface {
 	MaxBudget() uint64
 }
 
-// StreamLine is one NDJSON line of a POST /v1/sweeps response: a "cell"
-// line per completed cell (in completion order), then exactly one
-// terminal line — "result" carrying the aggregate report, or "error".
+// StreamLine is one NDJSON line of a POST /v1/sweeps or /v1/explore
+// response: a "cell" line per completed cell (in completion order; an
+// exploration's Done/Total are relative to its current search batch),
+// then exactly one terminal line — "result" carrying the report, or
+// "error".
 type StreamLine struct {
 	Event   string         `json:"event"` // "cell", "result", "error"
 	Done    int            `json:"done,omitempty"`
@@ -38,86 +39,84 @@ type StreamLine struct {
 	Error   string         `json:"error,omitempty"`
 }
 
+// CheckBudget rejects a per-cell budget over g's cap, the same policy
+// POST /v1/runs enforces. A nil Gate has no cap.
+func CheckBudget(g Gate, budget uint64) error {
+	if g == nil {
+		return nil
+	}
+	if max := g.MaxBudget(); max > 0 && budget > max {
+		return fmt.Errorf("%w: budget %d exceeds server cap %d", lab.ErrInvalid, budget, max)
+	}
+	return nil
+}
+
+// ServeCells answers a validated request: it admits r through g (a nil
+// Gate admits everything) and streams one "cell" line per Event run
+// reports, then the report run returns (see lab.Stream).
+func ServeCells(w http.ResponseWriter, r *http.Request, g Gate, run func(progress func(Event)) (*exp.Report, error)) {
+	observe := func(error) {}
+	if g != nil {
+		release, ok := g.Admit(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		observe = func(err error) { g.Observe(r.Context(), err) }
+	}
+	lab.Stream(w, observe, func(emit func(any)) (any, error) {
+		return run(func(ev Event) {
+			c := ev.Cell
+			emit(StreamLine{
+				Event: "cell", Done: ev.Done, Total: ev.Total,
+				Cell: &c, Run: ev.Result, Resumed: ev.Resumed,
+			})
+		})
+	})
+}
+
 // NewHandler returns the POST /v1/sweeps handler over l: the body is a
 // sweep Spec (JSON), the response an NDJSON stream of completed cells
 // followed by the aggregate report. Validation failures are proper 400s
 // before the stream commits to 200. Sweeps are admitted through g exactly
 // like runs; the server journals nothing — cross-request reuse comes from
-// the Lab's singleflight result cache instead.
+// the Lab's memo instead.
 func NewHandler(l *lab.Lab, g Gate) http.Handler {
 	tiers := &TierRunners{Lab: l}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", lab.ErrInvalid, err))
+			lab.WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", lab.ErrInvalid, err))
 			return
 		}
 		spec, err := ParseSpec(body)
+		if err == nil {
+			err = CheckBudget(g, spec.Budget)
+		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if g != nil {
-			if max := g.MaxBudget(); max > 0 && spec.Budget > max {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%w: budget %d exceeds server cap %d", lab.ErrInvalid, spec.Budget, max))
-				return
-			}
-		}
-		// Expand up front so bad grids are 400s with field-level messages,
-		// not mid-stream errors; the cells are reused below.
+		// Expand and resolve the runner up front so bad grids and
+		// fidelities are 400s with field-level messages, not mid-stream
+		// errors; the cells are reused below.
 		cells, err := spec.Expand()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-
-		var release func()
-		if g != nil {
-			var ok bool
-			if release, ok = g.Admit(w, r); !ok {
-				return
-			}
-			defer release()
-		}
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		var mu sync.Mutex
-		enc := json.NewEncoder(w)
-		emit := func(line StreamLine) {
-			mu.Lock()
-			defer mu.Unlock()
-			enc.Encode(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-
 		runner, err := tiers.Runner(spec.Fidelity, spec.Budget, 0)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-
-		res, err := RunCells(r.Context(), runner, spec, cells, Options{
-			Progress: func(ev Event) {
-				c := ev.Cell
-				emit(StreamLine{
-					Event: "cell", Done: ev.Done, Total: ev.Total,
-					Cell: &c, Run: ev.Result, Resumed: ev.Resumed,
-				})
-			},
+		ServeCells(w, r, g, func(progress func(Event)) (*exp.Report, error) {
+			res, err := RunCells(r.Context(), runner, spec, cells, Options{Progress: progress})
+			if err != nil {
+				return nil, err
+			}
+			return res.Report(), nil
 		})
-		if g != nil {
-			g.Observe(r.Context(), err)
-		}
-		if err != nil {
-			emit(StreamLine{Event: "error", Error: err.Error()})
-			return
-		}
-		emit(StreamLine{Event: "result", Result: res.Report()})
 	})
 }
 
@@ -164,15 +163,4 @@ func (t *TierRunners) calibrator(budget uint64) *tier.Calibrator {
 		t.cals[cb] = c
 	}
 	return c
-}
-
-// writeError mirrors the lab server's error body shape.
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

@@ -99,6 +99,7 @@ func TestSweepEndpointValidation(t *testing.T) {
 		{"unknown workload", `{"workloads":["nope"]}`, "workloads[0]", http.StatusBadRequest},
 		{"bad version cell", `{"workloads":["mcf"],"base":{"preset":"dla"},"axes":{"version":[9]}}`, "version 9", http.StatusBadRequest},
 		{"over budget", `{"workloads":["mcf"],"budget":1000000}`, "exceeds server cap", http.StatusBadRequest},
+		{"bad fidelity", `{"workloads":["mcf"],"fidelity":"exact"}`, "fidelity", http.StatusBadRequest},
 	} {
 		resp := postSweep(t, srv.URL, tc.body)
 		var e struct {

@@ -26,9 +26,9 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"r3dla/internal/lab"
+	"r3dla/internal/memo"
 	"r3dla/internal/prepcache"
 )
 
@@ -95,19 +95,13 @@ func (c *Calibration) Spread() float64 {
 
 // Calibrator captures (and memoizes) per-workload calibrations against a
 // cycle-accurate Lab. Safe for concurrent use: concurrent Gets for the
-// same workload block on one capture.
+// same workload wait on one capture, each for no longer than its own
+// context allows.
 type Calibrator struct {
 	l      *lab.Lab
 	budget uint64
 	cache  *prepcache.Cache // nil: in-memory only
-
-	mu      sync.Mutex
-	entries map[string]*calEntry
-}
-
-type calEntry struct {
-	mu  sync.Mutex
-	cal *Calibration
+	cals   memo.Memo[*Calibration, struct{}]
 }
 
 // NewCalibrator builds a calibrator over l. calibBudget 0 selects
@@ -116,7 +110,7 @@ func NewCalibrator(l *lab.Lab, calibBudget uint64, cache *prepcache.Cache) *Cali
 	if calibBudget == 0 {
 		calibBudget = DefaultCalibBudget
 	}
-	return &Calibrator{l: l, budget: calibBudget, cache: cache, entries: make(map[string]*calEntry)}
+	return &Calibrator{l: l, budget: calibBudget, cache: cache}
 }
 
 // Budget reports the calibration-run budget.
@@ -130,25 +124,9 @@ func (c *Calibrator) Lab() *lab.Lab { return c.l }
 // Failures (unknown workload, cancellation) are not cached; a later Get
 // retries.
 func (c *Calibrator) Get(ctx context.Context, workload string) (*Calibration, error) {
-	c.mu.Lock()
-	e := c.entries[workload]
-	if e == nil {
-		e = &calEntry{}
-		c.entries[workload] = e
-	}
-	c.mu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cal != nil {
-		return e.cal, nil
-	}
-	cal, err := c.capture(ctx, workload)
-	if err != nil {
-		return nil, err
-	}
-	e.cal = cal
-	return cal, nil
+	return c.cals.Do(ctx, workload, func(ctx context.Context) (*Calibration, error) {
+		return c.capture(ctx, workload)
+	})
 }
 
 // blobKey names the prepcache blob holding one workload's calibration.

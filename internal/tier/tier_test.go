@@ -2,10 +2,12 @@ package tier
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"r3dla/internal/lab"
 	"r3dla/internal/prepcache"
@@ -290,5 +292,56 @@ func TestUnknownWorkloadRejected(t *testing.T) {
 	_, err := r.Run(context.Background(), lab.RunRequest{Workload: "nope", Config: lab.ConfigSpec{Preset: "r3"}})
 	if err == nil {
 		t.Fatal("unknown workload priced without error")
+	}
+}
+
+// TestCalibratorGetWaiterCancel: a Get whose context has ended, while
+// another Get is capturing the same workload, returns ctx.Err() at once
+// instead of waiting out the capture; the capture itself goes on.
+func TestCalibratorGetWaiterCancel(t *testing.T) {
+	capturing := make(chan struct{})
+	release := make(chan struct{})
+	var hold, unblock sync.Once
+	defer unblock.Do(func() { close(release) })
+	l, err := lab.New(lab.WithBudget(testBudget), lab.WithProgress(func(ev lab.Event) {
+		if ev.Stage == "prep" {
+			// The first capture stalls in its preparation until released.
+			hold.Do(func() { close(capturing); <-release })
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCalibrator(l, testBudget, nil)
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Get(context.Background(), "mcf")
+		first <- err
+	}()
+	select {
+	case <-capturing:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first capture never started")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	second := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctx, "mcf")
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled Get returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a canceled Get stayed blocked behind another Get's capture")
+	}
+
+	unblock.Do(func() { close(release) })
+	if err := <-first; err != nil {
+		t.Fatalf("the capture failed: %v", err)
 	}
 }

@@ -196,26 +196,6 @@ func NewSystem(p *Program, setup func(*Memory), set *SkeletonSet, prof *Training
 	return core.NewSystem(p, setup, set, prof, opt)
 }
 
-// BaselineOptions returns the plain single-core configuration every
-// experiment normalizes against.
-//
-// Deprecated: build configurations through the Lab API instead —
-// MustConfig(Baseline).SystemOptions() is the equivalent.
-func BaselineOptions() SystemOptions { return lab.MustConfig(lab.Baseline).SystemOptions() }
-
-// DLAOptions returns the baseline decoupled look-ahead configuration.
-//
-// Deprecated: build configurations through the Lab API instead —
-// MustConfig(DLA).SystemOptions() is the equivalent.
-func DLAOptions() SystemOptions { return lab.MustConfig(lab.DLA).SystemOptions() }
-
-// R3Options returns the full R3-DLA configuration (T1 + value reuse +
-// fetch buffer + recycling).
-//
-// Deprecated: build configurations through the Lab API instead —
-// MustConfig(R3).SystemOptions() is the equivalent.
-func R3Options() SystemOptions { return lab.MustConfig(lab.R3).SystemOptions() }
-
 // DefaultCoreConfig returns the Table I processing node.
 func DefaultCoreConfig() CoreConfig { return pipeline.DefaultConfig() }
 
