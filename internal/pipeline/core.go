@@ -22,13 +22,29 @@ type robEntry struct {
 	valCorrect bool
 	skipVal    bool
 
-	prod    [2]int32 // ROB slots of register producers (-1 = ready)
-	prodSeq [2]uint64
-	fwd     int32 // ROB slot of forwarding store (-1 = none)
-	fwdSeq  uint64
+	// Wakeup state. pending counts the register producers that had not
+	// issued when this entry dispatched and still have not; readyAt is
+	// the latest cycle a producer's value arrives. waiters heads the
+	// list of consumers to wake when this entry issues: a link is
+	// consumerSlot<<1 | source, and link (s, i) continues at
+	// rob[s].nextWaiter[i].
+	pending    uint8
+	readyAt    uint64
+	waiters    int32
+	nextWaiter [2]int32
+
+	fwd    int32 // ROB slot of forwarding store (-1 = none)
+	fwdSeq uint64
 
 	intDest bool
 	fpDest  bool
+}
+
+// storeRef is one in-flight store: its ROB slot and the 8-byte word it
+// writes.
+type storeRef struct {
+	slot int32
+	word uint64
 }
 
 type fqEntry struct {
@@ -71,17 +87,25 @@ type Core struct {
 	hintScratch emu.DynInst
 
 	// backend state
-	rob          []robEntry
-	head, tail   int // ring indices
-	count        int
-	issuedPrefix int // consecutive issued entries at the ROB head (scan skip)
-	lsqCount     int
-	seqCounter   uint64
-	lastWriter   [isa.NumRegs]int32
-	writerSeq    [isa.NumRegs]uint64
-	freeInt      int
-	freeFP       int
-	scoreboard   [isa.NumRegs]bool // value-validated marks (skip-validation)
+	rob        []robEntry
+	head, tail int // ring indices
+	count      int
+	lsqCount   int
+	seqCounter uint64
+	lastWriter [isa.NumRegs]int32
+	writerSeq  [isa.NumRegs]uint64
+	freeInt    int
+	freeFP     int
+	scoreboard [isa.NumRegs]bool // value-validated marks (skip-validation)
+
+	// waitQ holds the ROB slots of the entries that have not issued, in
+	// program order: the only entries issue looks at.
+	waitQ []int32
+	// stq is the FIFO of in-flight stores in program order, a ring of
+	// capacity ROB: dispatch pushes, commit pops, and a dispatching load
+	// searches it youngest first for a store to forward from.
+	stq           []storeRef
+	stHead, stLen int
 
 	now uint64
 
@@ -104,6 +128,8 @@ func New(cfg Config, feed Feeder, dir DirectionSource, l1i, l1d *cache.Cache) *C
 		ras:     branch.NewRAS(cfg.RASEntries),
 		fetchQ:  make([]fqEntry, ringCap),
 		rob:     make([]robEntry, cfg.ROB),
+		waitQ:   make([]int32, 0, cfg.ROB),
+		stq:     make([]storeRef, cfg.ROB),
 		freeInt: cfg.IntPRF - isa.NumIntRegs,
 		freeFP:  cfg.FPPRF - isa.NumFPRegs,
 	}
@@ -131,23 +157,24 @@ func (c *Core) Done() bool {
 	return c.feederDone && c.fqLen == 0 && c.count == 0
 }
 
+// wrap maps an index in [0, 2n) into a ring of size n.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 // fqPush appends one entry at the tail of the fetch ring. Callers check
 // capacity (fqLen < Cfg.FetchBufSize) before pushing.
 func (c *Core) fqPush(e fqEntry) {
-	idx := c.fqHead + c.fqLen
-	if idx >= len(c.fetchQ) {
-		idx -= len(c.fetchQ)
-	}
-	c.fetchQ[idx] = e
+	c.fetchQ[wrap(c.fqHead+c.fqLen, len(c.fetchQ))] = e
 	c.fqLen++
 }
 
 // fqPop drops the head entry of the fetch ring.
 func (c *Core) fqPop() {
-	c.fqHead++
-	if c.fqHead == len(c.fetchQ) {
-		c.fqHead = 0
-	}
+	c.fqHead = wrap(c.fqHead+1, len(c.fetchQ))
 	c.fqLen--
 }
 
@@ -177,17 +204,18 @@ func (c *Core) StallTick() {
 	}
 }
 
-// Flush squashes all in-flight work: the fetch queue and every ROB entry
-// are discarded and resource counts reset. The feeder, caches, predictors
-// and metrics are untouched. The DLA reboot path uses this to reset the
-// look-ahead core.
+// Flush squashes all in-flight work: the fetch queue, every ROB entry,
+// the wait queue and the store FIFO are discarded and resource counts
+// reset. The feeder, caches, predictors and metrics are untouched. The
+// DLA reboot path uses this to reset the look-ahead core.
 func (c *Core) Flush() {
 	c.fqHead, c.fqLen = 0, 0
 	for i := range c.rob {
 		c.rob[i].live = false
 	}
 	c.head, c.tail, c.count = 0, 0, 0
-	c.issuedPrefix = 0
+	c.waitQ = c.waitQ[:0]
+	c.stHead, c.stLen = 0, 0
 	c.lsqCount = 0
 	c.freeInt = c.Cfg.IntPRF - isa.NumIntRegs
 	c.freeFP = c.Cfg.FPPRF - isa.NumFPRegs
@@ -214,27 +242,6 @@ func (c *Core) Run(maxInsts uint64) *Metrics {
 	return &c.M
 }
 
-func (c *Core) slot(i int32) *robEntry { return &c.rob[i] }
-
-// producerReady reports when the value produced by slot/seq becomes
-// available, or (0,true) if the producer already left the ROB.
-func (c *Core) producerReady(slotIdx int32, seq uint64) (uint64, bool) {
-	if slotIdx < 0 {
-		return 0, true
-	}
-	e := c.slot(slotIdx)
-	if !e.live || e.seq != seq {
-		return 0, true // committed: value architecturally available
-	}
-	if e.skipVal || (e.valPred && e.valCorrect) {
-		return e.dispatchCycle + 1, true
-	}
-	if !e.issued {
-		return 0, false
-	}
-	return e.execDone, true
-}
-
 // ---------------------------------------------------------------- commit
 
 func (c *Core) commit() {
@@ -245,6 +252,8 @@ func (c *Core) commit() {
 		}
 		if e.d.In.Op.IsStore() {
 			c.L1D.Access(e.d.EA, true, false, c.now)
+			c.stHead = wrap(c.stHead+1, len(c.stq)) // commit is in order: the FIFO head
+			c.stLen--
 		}
 		if e.d.In.Op.IsMem() {
 			c.lsqCount--
@@ -259,93 +268,66 @@ func (c *Core) commit() {
 			c.Hooks.OnCommit(&e.d, c.now)
 		}
 		e.live = false
-		c.head = (c.head + 1) % len(c.rob)
+		c.head = wrap(c.head+1, len(c.rob))
 		c.count--
-		if c.issuedPrefix > 0 {
-			c.issuedPrefix--
-		}
 		c.M.Committed++
 	}
 }
 
 // ----------------------------------------------------------------- issue
 
+// issue walks the wait queue oldest first and sends up to IssueWidth
+// ready entries to execution under the per-FU limits. An entry is ready
+// once every producer it linked to at dispatch has issued and the
+// latest value has arrived (readyAt <= now). A skip-validation entry
+// completes without execution when the walk reaches it and uses no
+// issue width. Every entry in the queue dispatched in an earlier cycle
+// (dispatch runs after issue), so none is too young to consider. The
+// walk compacts the queue in place.
 func (c *Core) issue() {
 	fuLeft := [3]int{c.Cfg.IntFUs, c.Cfg.MemFUs, c.Cfg.FPFUs}
 	issued := 0
-	// issuedPrefix counts consecutive already-issued entries at the ROB
-	// head: the scan starts past them instead of re-skipping the same
-	// entries every cycle (the seed's head-first scan was the single
-	// hottest function in the CPU profile).
-	start := c.issuedPrefix
-	if start > c.count {
-		start = c.count
-	}
-	rob := c.rob
-	now := c.now
-	idx := c.head + start
-	if idx >= len(rob) {
-		idx -= len(rob)
-	}
-	for k := start; k < c.count && issued < c.Cfg.IssueWidth; k++ {
-		e := &rob[idx]
-		if idx++; idx == len(rob) {
-			idx = 0
-		}
-		if e.issued {
-			continue
-		}
-		if e.dispatchCycle+1 > now {
-			break // younger entries dispatched no earlier; all not ready
-		}
-		// Skip-validation entries complete without execution.
+	q := c.waitQ
+	kept, k := 0, 0
+	for ; k < len(q) && issued < c.Cfg.IssueWidth; k++ {
+		e := &c.rob[q[k]]
 		if e.skipVal {
 			e.issued = true
 			e.execDone = e.dispatchCycle + 1
 			continue
 		}
-		ready := uint64(0)
-		ok := true
-		for p := 0; p < 2; p++ {
-			t, r := c.producerReady(e.prod[p], e.prodSeq[p])
-			if !r {
-				ok = false
-				break
-			}
-			if t > ready {
-				ready = t
-			}
-		}
-		if !ok || ready > now {
-			continue
-		}
-		fu := fuOf(e.d.In.Op.Class())
-		if fu != fuNone {
-			if fuLeft[fu] == 0 {
+		if e.pending == 0 && e.readyAt <= c.now {
+			if fu := fuOf(e.d.In.Op.Class()); fu == fuNone || fuLeft[fu] > 0 {
+				if fu != fuNone {
+					fuLeft[fu]--
+				}
+				issued++
+				c.issueOne(e)
 				continue
 			}
-			fuLeft[fu]--
 		}
-		issued++
-		c.M.Issued++
-		e.issued = true
-		c.execOne(e)
-		if c.Hooks.OnIssue != nil {
-			c.Hooks.OnIssue(&e.d, e.dispatchCycle, e.execDone)
-		}
-		c.M.DispExecSum += e.execDone - e.dispatchCycle
-		c.M.DispExecCount++
+		q[kept] = q[k]
+		kept++
 	}
-	// Extend the issued prefix over any newly contiguous issued entries.
-	for c.issuedPrefix < c.count {
-		i := c.head + c.issuedPrefix
-		if i >= len(c.rob) {
-			i -= len(c.rob)
-		}
-		if !c.rob[i].issued {
-			break
-		}
-		c.issuedPrefix++
+	c.waitQ = q[:kept+copy(q[kept:], q[k:])]
+}
+
+// issueOne sends e to execution, then hands its completion cycle to the
+// consumers linked to it.
+func (c *Core) issueOne(e *robEntry) {
+	c.M.Issued++
+	e.issued = true
+	c.execOne(e)
+	if c.Hooks.OnIssue != nil {
+		c.Hooks.OnIssue(&e.d, e.dispatchCycle, e.execDone)
+	}
+	c.M.DispExecSum += e.execDone - e.dispatchCycle
+	c.M.DispExecCount++
+	for l := e.waiters; l >= 0; {
+		w := &c.rob[l>>1]
+		w.readyAt = max(w.readyAt, e.execDone)
+		w.pending--
+		l = w.nextWaiter[l&1]
 	}
 }
 
@@ -357,13 +339,20 @@ func (c *Core) execOne(e *robEntry) {
 	case op.IsLoad():
 		c.M.Loads++
 		if e.fwd >= 0 {
-			fe := c.slot(e.fwd)
+			fe := &c.rob[e.fwd]
 			if fe.live && fe.seq == e.fwdSeq {
 				// Store-to-load forwarding: one cycle after the store's
-				// address/data are ready.
+				// address/data are ready. A load does not wait for the
+				// store it forwards from, so the store may not have
+				// issued yet; the load then completes at now+2 without
+				// waiting for the store's data. That is common (37,287
+				// of 90,150 forwarded loads over one cold prep plus the
+				// 60k reproduce grid, both cores) and is a known
+				// inaccuracy. It stays because results must stay
+				// identical; fixing it moves every one of them.
 				t := fe.execDone
 				if !fe.issued {
-					t = c.now + 1 // should not happen; be safe
+					t = c.now + 1
 				}
 				if t < c.now {
 					t = c.now
@@ -510,39 +499,20 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 		live:          true,
 		dispatchCycle: c.now,
 		mispred:       fe.mispred,
-		prod:          [2]int32{-1, -1},
+		waiters:       -1,
 		fwd:           -1,
 		intDest:       intDest,
 		fpDest:        fpDest,
 	}
-
-	// Register dependencies.
 	var srcBuf [2]uint8
 	srcs := d.In.Sources(srcBuf[:0])
-	for i, r := range srcs {
-		if r == isa.RegZero {
-			continue
-		}
-		if w := c.lastWriter[r]; w >= 0 {
-			we := c.slot(w)
-			if we.live && we.seq == c.writerSeq[r] {
-				e.prod[i] = w
-				e.prodSeq[i] = c.writerSeq[r]
-			}
-		}
-	}
 
 	// Store-to-load forwarding: the youngest older store to the same word.
 	if d.In.Op.IsLoad() {
 		word := d.EA >> 3
-		for k, idx := 1, (c.tail-1+len(c.rob))%len(c.rob); k <= c.count; k, idx = k+1, (idx-1+len(c.rob))%len(c.rob) {
-			se := &c.rob[idx]
-			if !se.live {
-				break
-			}
-			if se.d.In.Op.IsStore() && se.d.EA>>3 == word {
-				e.fwd = int32(idx)
-				e.fwdSeq = se.seq
+		for k := c.stLen - 1; k >= 0; k-- {
+			if s := c.stq[wrap(c.stHead+k, len(c.stq))]; s.word == word {
+				e.fwd, e.fwdSeq = s.slot, c.rob[s.slot].seq
 				break
 			}
 		}
@@ -565,6 +535,30 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 	}
 	c.updateScoreboard(d, e.valPred)
 
+	// Register dependencies. A producer that is skip-validated or whose
+	// value was predicted correctly counts as ready at its
+	// dispatchCycle+1; one that has issued, at its execDone; one that has
+	// committed, at once. Any other producer has not issued: the entry
+	// links itself to it and waits to be woken. A skip-validation entry
+	// never reads its producers, so it links to none.
+	for i, r := range srcs {
+		if e.skipVal || r == isa.RegZero || c.lastWriter[r] < 0 {
+			continue
+		}
+		p := &c.rob[c.lastWriter[r]]
+		switch {
+		case !p.live || p.seq != c.writerSeq[r]:
+		case p.skipVal || p.valPred && p.valCorrect:
+			e.readyAt = max(e.readyAt, p.dispatchCycle+1)
+		case p.issued:
+			e.readyAt = max(e.readyAt, p.execDone)
+		default:
+			e.nextWaiter[i] = p.waiters
+			p.waiters = int32(c.tail)<<1 | int32(i)
+			e.pending++
+		}
+	}
+
 	if intDest {
 		c.freeInt--
 	}
@@ -578,7 +572,12 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 	if isMem {
 		c.lsqCount++
 	}
-	c.tail = (c.tail + 1) % len(c.rob)
+	if d.In.Op.IsStore() {
+		c.stq[wrap(c.stHead+c.stLen, len(c.stq))] = storeRef{slot: int32(c.tail), word: d.EA >> 3}
+		c.stLen++
+	}
+	c.waitQ = append(c.waitQ, int32(c.tail))
+	c.tail = wrap(c.tail+1, len(c.rob))
 	c.count++
 	return true
 }
