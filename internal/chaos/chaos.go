@@ -284,7 +284,7 @@ func newBackend(i int, dir string, budget uint64, plane *faultinject.Plane) (*ba
 	if err != nil {
 		return nil, err
 	}
-	st.SetFaults(plane)
+	st.SetFaults(plane, faultinject.ResultStoreGet, faultinject.ResultStorePut)
 	api := lab.NewServer(l,
 		lab.WithMaxInflight(16),
 		lab.WithResultStore(st),

@@ -24,6 +24,7 @@ import (
 	"r3dla/internal/memo"
 	"r3dla/internal/memsys"
 	"r3dla/internal/pipeline"
+	"r3dla/internal/resultstore"
 	"r3dla/internal/workloads"
 )
 
@@ -71,10 +72,10 @@ type Context struct {
 	LogW io.Writer
 
 	// Cache, when non-nil, persists preparation artifacts across
-	// processes (see internal/prepcache): prep consults it before
-	// running the training simulation and stores what it generates.
+	// processes: prep consults it before running the training
+	// simulation and stores what it generates. Open it with PrepFormat.
 	// Set before first use.
-	Cache PrepCache
+	Cache *resultstore.Store
 
 	ctx context.Context // cancellation (Background from NewContext)
 
@@ -338,15 +339,6 @@ func (c *Context) Prep(name string) *Prepared {
 	return p
 }
 
-// PrepCache persists preparation artifacts across processes. Load returns
-// ok=false on any problem (missing, stale, corrupt) — misses are silent
-// and the Context regenerates; Store failures are likewise non-fatal.
-// internal/prepcache provides the on-disk implementation.
-type PrepCache interface {
-	Load(key string, train, eval *isa.Program) (*core.Profile, *core.Set, bool)
-	Store(key string, train, eval *isa.Program, prof *core.Profile, set *core.Set) error
-}
-
 func (c *Context) prep(name string) *Prepared {
 	w := workloads.ByName(name)
 	if w == nil {
@@ -354,9 +346,10 @@ func (c *Context) prep(name string) *Prepared {
 	}
 	trainProg, trainSetup := w.Build(TrainSeed)
 	evalProg, evalSetup := w.Build(EvalSeed)
-	key := fmt.Sprintf("%s@%d", name, c.TrainBudget)
+	var key string
 	if c.Cache != nil {
-		if prof, set, ok := c.Cache.Load(key, trainProg, evalProg); ok {
+		key = prepKey(name, c.TrainBudget, trainProg, evalProg)
+		if prof, set, ok := loadPrep(c.Cache, key, evalProg); ok {
 			c.Logf("  [prep] %-9s loaded from prep cache\n", name)
 			return &Prepared{W: w, Prog: evalProg, Setup: evalSetup, Prof: prof, Set: set}
 		}
@@ -364,7 +357,7 @@ func (c *Context) prep(name string) *Prepared {
 	prof := core.Collect(trainProg, trainSetup, c.TrainBudget)
 	set := core.Generate(evalProg, prof)
 	if c.Cache != nil {
-		if err := c.Cache.Store(key, trainProg, evalProg, prof, set); err != nil {
+		if err := storePrep(c.Cache, key, prof, set); err != nil {
 			c.Logf("  [prep] %-9s prep-cache store failed: %v\n", name, err)
 		}
 	}

@@ -41,16 +41,16 @@ var ErrInjected = errors.New("faultinject: injected fault")
 // component that consults the plane; Arm rejects unregistered names so a
 // typo'd schedule fails loudly instead of silently arming nothing.
 const (
-	// ResultStoreGet fires on resultstore.Store.Get: an error reads as a
-	// miss, a delay models slow disk.
+	// ResultStoreGet fires on a server result store's Get: an error
+	// reads as a miss, a delay models slow disk.
 	ResultStoreGet = "resultstore.get"
-	// ResultStorePut fires on resultstore.Store.Put: torn simulates a
-	// crash mid-write (a truncated frame at the final path), corrupt
+	// ResultStorePut fires on a server result store's Put: torn simulates
+	// a crash mid-write (a truncated frame at the final path), corrupt
 	// flips one byte silently, enospc/error fail the write.
 	ResultStorePut = "resultstore.put"
-	// PrepCacheLoad fires on prepcache.Cache.Load (error = miss, delay).
+	// PrepCacheLoad fires on a Lab prep store's Get (error = miss, delay).
 	PrepCacheLoad = "prepcache.load"
-	// PrepCacheStore fires on prepcache.Cache.Store (torn, corrupt,
+	// PrepCacheStore fires on a Lab prep store's Put (torn, corrupt,
 	// enospc, error, delay — the same write faults as ResultStorePut).
 	PrepCacheStore = "prepcache.store"
 	// JournalAppend fires on each sweep-journal line append: torn writes

@@ -218,25 +218,33 @@ func TestServerCoalescedStreamsSeeProgress(t *testing.T) {
 // TestServerResultStoreRestart is the durable-tier contract: a fresh
 // server (fresh Lab, fresh process in real life) over a warm store
 // answers a repeated request with zero new simulations and a
-// byte-identical body.
+// byte-identical body. The wide-cores request's run key is longer than
+// a file name may be.
 func TestServerResultStoreRestart(t *testing.T) {
 	dir := t.TempDir()
-	body := `{"workload":"mcf","config":{"preset":"r3"},"budget":3000}`
+	bodies := []string{
+		`{"workload":"mcf","config":{"preset":"r3"},"budget":3000}`,
+		`{"workload":"mcf","config":{"preset":"r3","cores":{"model":"wide"}},"budget":3000}`,
+	}
 
 	st1, err := resultstore.Open(dir, ResultsFingerprint, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv1, l1 := newTestService(t, WithResultStore(st1))
-	status, cold := postRun(t, srv1.URL, body)
-	if status != http.StatusOK {
-		t.Fatalf("cold run status %d: %s", status, cold)
+	cold := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		status, res := postRun(t, srv1.URL, body)
+		if status != http.StatusOK {
+			t.Fatalf("cold run status %d: %s", status, res)
+		}
+		cold[i] = res
 	}
-	if c := l1.RunCount(); c != 1 {
-		t.Fatalf("cold run executed %d simulations, want 1", c)
+	if c := l1.RunCount(); c != len(bodies) {
+		t.Fatalf("cold runs executed %d simulations, want %d", c, len(bodies))
 	}
-	if s := st1.Stats(); s.Puts != 1 {
-		t.Fatalf("cold run persisted %d entries, want 1: %+v", s.Puts, s)
+	if s := st1.Stats(); s.Puts != int64(len(bodies)) {
+		t.Fatalf("cold runs persisted %d entries, want %d: %+v", s.Puts, len(bodies), s)
 	}
 	srv1.Close()
 
@@ -246,20 +254,22 @@ func TestServerResultStoreRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2, l2 := newTestService(t, WithResultStore(st2))
-	status, warm := postRun(t, srv2.URL, body)
-	if status != http.StatusOK {
-		t.Fatalf("warm run status %d: %s", status, warm)
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("store hit is not byte-identical:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	for i, body := range bodies {
+		status, warm := postRun(t, srv2.URL, body)
+		if status != http.StatusOK {
+			t.Fatalf("warm run status %d: %s", status, warm)
+		}
+		if !bytes.Equal(cold[i], warm) {
+			t.Fatalf("store hit is not byte-identical:\n--- cold ---\n%s\n--- warm ---\n%s", cold[i], warm)
+		}
 	}
 	if c := l2.RunCount(); c != 0 {
-		t.Fatalf("restarted server executed %d simulations, want 0 (store hit)", c)
+		t.Fatalf("restarted server executed %d simulations, want 0 (store hits)", c)
 	}
 	var st Stats
 	getJSON(t, srv2.URL+"/v1/stats", &st)
-	if st.Store.Hits != 1 || st.Completed != 1 {
-		t.Fatalf("warm stats %+v, want 1 store hit and 1 completed", st)
+	if st.Store.Hits != int64(len(bodies)) || st.Completed != int64(len(bodies)) {
+		t.Fatalf("warm stats %+v, want %d store hits and completed", st, len(bodies))
 	}
 	// A default-budget request hits the same entry: budget 0 resolves to
 	// the server's default before the key is formed.

@@ -118,7 +118,7 @@ func TestLabWithFaultsReachesPrepCache(t *testing.T) {
 }
 
 // TestLabWithFaultsWithoutPrepCache: arming faults on a Lab with no prep
-// cache must not panic (SetFaults is nil-receiver-safe).
+// cache must not panic.
 func TestLabWithFaultsWithoutPrepCache(t *testing.T) {
 	p := faultinject.New(74)
 	l, err := New(WithBudget(2000), WithFaults(p))

@@ -14,7 +14,7 @@ import (
 	"r3dla/internal/faultinject"
 	"r3dla/internal/isa"
 	"r3dla/internal/pipeline"
-	"r3dla/internal/prepcache"
+	"r3dla/internal/resultstore"
 	"r3dla/internal/workloads"
 )
 
@@ -50,10 +50,9 @@ type Lab struct {
 	// order-independent).
 	trainSet bool
 
-	// prep and faults are recorded during option processing and wired
-	// together in New after all options ran, so WithFaults and
+	// faults is recorded during option processing and wired to the prep
+	// cache in New after all options ran, so WithFaults and
 	// WithPrepCache compose in either order.
-	prep   *prepcache.Cache
 	faults *faultinject.Plane
 }
 
@@ -103,16 +102,16 @@ func WithProgress(f func(Event)) ClientOption {
 // WithPrepCache persists preparation artifacts (profiles + skeletons) in
 // dir, surviving process restarts: a new Lab over a warm directory serves
 // its first Prepare from a file read instead of re-simulating the
-// training run. Entries are fingerprint-guarded and corruption-tolerant —
-// stale or damaged files silently regenerate (see internal/prepcache).
+// training run. Entries are checksummed internal/resultstore entries
+// whose keys carry the workload programs' fingerprint, so stale or
+// damaged ones silently regenerate.
 func WithPrepCache(dir string) ClientOption {
 	return func(l *Lab) error {
-		pc, err := prepcache.New(dir)
+		st, err := resultstore.Open(dir, exp.PrepFormat, 0)
 		if err != nil {
 			return err
 		}
-		l.c.Cache = pc
-		l.prep = pc
+		l.c.Cache = st
 		return nil
 	}
 }
@@ -144,8 +143,8 @@ func New(opts ...ClientOption) (*Lab, error) {
 			return nil, err
 		}
 	}
-	if l.faults != nil {
-		l.prep.SetFaults(l.faults)
+	if l.faults != nil && l.c.Cache != nil {
+		l.c.Cache.SetFaults(l.faults, faultinject.PrepCacheLoad, faultinject.PrepCacheStore)
 	}
 	return l, nil
 }

@@ -42,7 +42,7 @@ func TestPrepCacheColdWarmByteIdentity(t *testing.T) {
 
 	runOnce(t, "cold-cache")
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*.prep"))
+	entries, err := filepath.Glob(filepath.Join(dir, "*.res"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("cold run should persist exactly one prep entry, got %v (err %v)", entries, err)
 	}

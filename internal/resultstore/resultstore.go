@@ -1,26 +1,23 @@
-// Package resultstore persists finished simulation answers on disk, so
-// the whole answer set survives an r3dlad restart: a rebooted server (or
-// a sibling process sharing the directory) serves a repeated request from
-// a file read instead of re-running the cycle-accurate simulation. It is
-// the durable tier of the multi-tenant result fabric — the in-memory
-// singleflight caches dedup within a process lifetime, the store dedups
-// across lifetimes and across tenants.
+// Package resultstore is the repo's one checksummed on-disk store: a
+// directory of opaque byte payloads under string keys, so it never
+// imports the types it persists. It holds r3dlad's finished simulation
+// answers (keyed workload|configKey@budget, so a restarted server or a
+// sibling process sharing the directory serves a repeated request from a
+// file read), the Lab's preparation artifacts (internal/exp) and tier
+// calibrations (internal/tier).
 //
-// The store is content-addressed by the caller's canonical run key
-// (workload|configKey@budget) and holds opaque byte payloads, so it never
-// imports the result types it persists. Entries follow the prep cache's
-// integrity discipline: a magic/version/fingerprint/key/length/checksum
-// header guards every payload, writes are atomic (unique per-process temp
-// file + rename), and any anomaly on read — torn write, version bump,
-// fingerprint or key mismatch, checksum failure — is a silent miss that
-// also deletes the damaged file, never an error. The caller regenerates
-// and overwrites.
+// Every entry is one frame: a magic/version/fingerprint/key/length/
+// checksum header guards the payload, writes are atomic and durable
+// (internal/atomicio), and any anomaly on read — torn write, version
+// bump, fingerprint or key mismatch, checksum failure — is a silent miss
+// that also deletes the damaged file, never an error. The caller
+// regenerates and overwrites.
 //
-// The store is LRU-bounded by entry count: recency is the file mtime
+// A store may be LRU-bounded by entry count: recency is the file mtime
 // (refreshed on every hit), so the eviction order itself survives
-// restarts. Concurrent use by multiple goroutines is safe; concurrent use
-// by multiple processes is safe in the prep cache's sense — atomic renames
-// mean readers only ever observe complete files.
+// restarts. Concurrent use by multiple goroutines is safe; so is
+// concurrent use by multiple processes sharing the directory, since
+// atomic renames mean readers only ever observe complete files.
 package resultstore
 
 import (
@@ -43,11 +40,15 @@ import (
 // regenerates) every existing entry.
 const Version = 1
 
-// magic identifies a result-store file.
+// magic identifies a store entry file.
 var magic = [4]byte{'R', '3', 'R', 'S'}
 
 // ext is the entry file suffix.
 const ext = ".res"
+
+// maxName is the longest file name the common filesystems accept
+// (NAME_MAX).
+const maxName = 255
 
 // Stats is a point-in-time snapshot of the store's counters. Hits,
 // Misses, Evictions and Puts are cumulative for this process; Entries is
@@ -60,13 +61,14 @@ type Stats struct {
 	Entries   int   `json:"entries"`
 }
 
-// Store is a directory of result entries plus an in-memory LRU index.
+// Store is a directory of entries plus an in-memory LRU index.
 // The zero value is not usable; call Open.
 type Store struct {
-	dir    string
-	fp     uint64             // caller's fingerprint, folded into every entry header
-	max    int                // entry bound (0 = unlimited)
-	faults *faultinject.Plane // nil in production; Get/Put fault gates
+	dir          string
+	fp           uint64             // caller's fingerprint, folded into every entry header
+	max          int                // entry bound (0 = unlimited)
+	faults       *faultinject.Plane // nil in production; Get/Put fault gates
+	getPt, putPt string             // the fault points Get and Put consult
 
 	mu      sync.Mutex
 	order   []string // keys, least-recently-used first
@@ -75,8 +77,8 @@ type Store struct {
 	hits, misses, evictions, puts int64
 }
 
-// Open opens (creating if needed) a result store rooted at dir.
-// fingerprint ties every entry to the caller's result semantics — bump it
+// Open opens (creating if needed) a store rooted at dir. fingerprint
+// ties every entry to the caller's payload semantics — bump it
 // (or fold a version constant into it) and every existing entry reads as
 // a miss. maxEntries bounds the store size (0 = unlimited); existing
 // entries beyond the bound are evicted oldest-first immediately.
@@ -97,12 +99,12 @@ func Open(dir string, fingerprint uint64, maxEntries int) (*Store, error) {
 	return s, nil
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// SetFaults attaches a fault-injection plane (nil detaches). Chaos-only:
-// call before the store sees traffic.
-func (s *Store) SetFaults(p *faultinject.Plane) { s.faults = p }
+// SetFaults attaches a fault-injection plane (nil detaches) that Get
+// consults at point get and Put at point put. Chaos-only: call before
+// the store sees traffic.
+func (s *Store) SetFaults(p *faultinject.Plane, get, put string) {
+	s.faults, s.getPt, s.putPt = p, get, put
+}
 
 // Len reports the live entry count.
 func (s *Store) Len() int {
@@ -166,18 +168,25 @@ func (s *Store) scan() error {
 }
 
 // path maps a key to its file, sanitized so keys never escape the store
-// directory. Sanitization collisions are harmless: the exact key is
-// embedded in the header and verified on load.
+// directory; a name over maxName keeps a prefix and gains a hash of the
+// full key. Collisions are harmless: the exact key is embedded in the
+// header and verified on load.
 func (s *Store) path(key string) string {
-	clean := strings.Map(func(r rune) rune {
+	name := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '-', r == '_', r == '@', r == '.':
 			return r
 		}
 		return '_'
-	}, key)
-	return filepath.Join(s.dir, clean+ext)
+	}, key) + ext
+	if len(name) > maxName {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		tail := fmt.Sprintf("-%016x%s", h.Sum64(), ext)
+		name = name[:maxName-len(tail)] + tail
+	}
+	return filepath.Join(s.dir, name)
 }
 
 // encode renders the framed entry: header (magic, version, fingerprint,
@@ -208,51 +217,41 @@ func (s *Store) encode(key string, body []byte) []byte {
 // fixedHeader is the byte length of the fields before the variable key.
 const fixedHeader = 4 + 4 + 8 + 4 // magic, version, fingerprint, keyLen
 
+// parseHeader reads a frame's magic, version, fingerprint and key,
+// returning the fingerprint, the key's bytes and the bytes after the
+// key. ok=false on any header anomaly.
+func parseHeader(raw []byte) (fp uint64, key, rest []byte, ok bool) {
+	if len(raw) < fixedHeader || !bytes.Equal(raw[:4], magic[:]) ||
+		binary.LittleEndian.Uint32(raw[4:8]) != Version {
+		return 0, nil, nil, false
+	}
+	keyLen := int(binary.LittleEndian.Uint32(raw[16:20]))
+	if keyLen < 0 || len(raw) < fixedHeader+keyLen {
+		return 0, nil, nil, false
+	}
+	end := fixedHeader + keyLen
+	return binary.LittleEndian.Uint64(raw[8:16]), raw[fixedHeader:end], raw[end:], true
+}
+
 // readKey extracts the embedded key from an entry file without
 // validating the body (index-rebuild use). ok=false on any header
 // anomaly.
 func readKey(path string) (string, bool) {
 	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) < fixedHeader {
+	if err != nil {
 		return "", false
 	}
-	if !bytes.Equal(raw[:4], magic[:]) {
-		return "", false
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != Version {
-		return "", false
-	}
-	keyLen := int(binary.LittleEndian.Uint32(raw[16:20]))
-	if keyLen < 0 || len(raw) < fixedHeader+keyLen {
-		return "", false
-	}
-	return string(raw[fixedHeader : fixedHeader+keyLen]), true
+	_, key, _, ok := parseHeader(raw)
+	return string(key), ok
 }
 
 // decode validates a framed entry against key and the store fingerprint,
 // returning the body. ok=false on any anomaly.
 func (s *Store) decode(raw []byte, key string) ([]byte, bool) {
-	if len(raw) < fixedHeader {
+	fp, k, rest, ok := parseHeader(raw)
+	if !ok || fp != s.fp || string(k) != key || len(rest) < 16 {
 		return nil, false
 	}
-	if !bytes.Equal(raw[:4], magic[:]) {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != Version {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint64(raw[8:16]) != s.fp {
-		return nil, false
-	}
-	keyLen := int(binary.LittleEndian.Uint32(raw[16:20]))
-	rest := raw[fixedHeader:]
-	if keyLen < 0 || len(rest) < keyLen+16 {
-		return nil, false
-	}
-	if string(rest[:keyLen]) != key {
-		return nil, false
-	}
-	rest = rest[keyLen:]
 	bodyLen := binary.LittleEndian.Uint64(rest[:8])
 	wantSum := binary.LittleEndian.Uint64(rest[8:16])
 	body := rest[16:]
@@ -274,7 +273,7 @@ func (s *Store) decode(raw []byte, key string) ([]byte, bool) {
 // order survives restarts).
 func (s *Store) Get(key string) ([]byte, bool) {
 	if s.faults != nil {
-		o := s.faults.At(faultinject.ResultStoreGet)
+		o := s.faults.At(s.getPt)
 		if o.Delay > 0 {
 			time.Sleep(o.Delay)
 		}
@@ -318,7 +317,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // file, and a power loss after Put returns cannot roll the entry back.
 func (s *Store) Put(key string, payload []byte) error {
 	framed := s.encode(key, payload)
-	if err := atomicio.WriteFile(s.path(key), framed, 0o644, s.faults, faultinject.ResultStorePut); err != nil {
+	if err := atomicio.WriteFile(s.path(key), framed, 0o644, s.faults, s.putPt); err != nil {
 		return fmt.Errorf("resultstore: write %s: %w", key, err)
 	}
 	s.mu.Lock()

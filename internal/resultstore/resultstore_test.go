@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -251,6 +252,138 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestStoreLongKey: a key whose sanitized name exceeds a file-name limit
+// still persists under a bounded name and survives a reopen. A
+// cores: wide run key is about 490 bytes.
+func TestStoreLongKey(t *testing.T) {
+	dir := t.TempDir()
+	key := "mcf|" + strings.Repeat("rob=512,", 61) + "vq=0@300" // 500 bytes
+	s1 := open(t, dir, 0)
+	if err := s1.Put(key, []byte("wide answer")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s1.Get(key); !ok || string(got) != "wide answer" {
+		t.Fatalf("long key round trip: ok=%v got=%q", ok, got)
+	}
+	if name := filepath.Base(s1.path(key)); len(name) > maxName {
+		t.Fatalf("entry name is %d bytes, over %d", len(name), maxName)
+	}
+	// A key differing only past the kept prefix gets its own file.
+	other := key[:len(key)-3] + "400"
+	if s1.path(other) == s1.path(key) {
+		t.Fatal("two long keys share one file name")
+	}
+	s2 := open(t, dir, 0)
+	if s2.Len() != 1 {
+		t.Fatalf("reopened store indexes %d entries, want 1", s2.Len())
+	}
+	if got, ok := s2.Get(key); !ok || string(got) != "wide answer" {
+		t.Fatalf("long key lost across a reopen: ok=%v got=%q", ok, got)
+	}
+}
+
+// TestStoreReadsCommittedFrame pins the on-disk format: the testdata
+// frame was written by an earlier release's Put (a /v1/runs answer at
+// results fingerprint 1), and the store must serve its payload byte for
+// byte under the file name that release gave it.
+func TestStoreReadsCommittedFrame(t *testing.T) {
+	const (
+		key  = "mcf|t1=true,vr=true,fb=true,rc=true,bop=true,stride=false,po=false,dis=false,boq=0,fq=0,vq=0,reboot=0,trial=0@3000"
+		name = "mcf_t1_true_vr_true_fb_true_rc_true_bop_true_stride_false_po_false_dis_false_boq_0_fq_0_vq_0_reboot_0_trial_0@3000.res"
+	)
+	frame, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "payload.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A copy: a hit refreshes the file's mtime, and the store may
+	// delete what it cannot read.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("committed frame: ok=%v got=%q want=%q", ok, got, want)
+	}
+}
+
+// TestStoreAtomicAndOverwritable: overwriting an entry keeps it readable
+// and leaves no temp files behind.
+func TestStoreAtomicAndOverwritable(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	for _, v := range []string{"first", "second"} {
+		if err := s.Put("mcf@2000", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertOnlyEntry(t, dir)
+	if got, ok := s.Get("mcf@2000"); !ok || string(got) != "second" {
+		t.Fatalf("overwritten entry: ok=%v got=%q", ok, got)
+	}
+}
+
+// TestConcurrentWritersRoundTrip pins the multi-writer contract: several
+// Stores over one directory (the shape of several r3dlad instances
+// racing a cold cache) writing the same entry leave exactly one readable
+// entry and no stranded temp files.
+func TestConcurrentWritersRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	const writers = 8
+	payload := bytes.Repeat([]byte("prepared artifacts "), 512)
+	stores := make([]*Store, writers)
+	for i := range stores {
+		stores[i] = open(t, dir, 0)
+	}
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func(s *Store) {
+			defer wg.Done()
+			for j := 0; j < 4; j++ {
+				if err := s.Put("mcf@2000", payload); err != nil {
+					t.Error(err)
+					return
+				}
+				// A concurrent rename may be mid-flight, but a completed
+				// Put must always read back: readers only see whole files.
+				if got, ok := s.Get("mcf@2000"); !ok || !bytes.Equal(got, payload) {
+					t.Errorf("read after write: ok=%v, %d bytes", ok, len(got))
+					return
+				}
+			}
+		}(stores[i])
+	}
+	wg.Wait()
+	assertOnlyEntry(t, dir)
+	if got, ok := open(t, dir, 0).Get("mcf@2000"); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("entry unreadable after concurrent writes: ok=%v", ok)
+	}
+}
+
+// assertOnlyEntry fails unless dir holds exactly one file.
+func assertOnlyEntry(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		names := make([]string, 0, len(ents))
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("store dir should hold exactly the entry, got %v", names)
+	}
 }
 
 // rewrite mutates a stored file in place.

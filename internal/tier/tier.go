@@ -16,9 +16,9 @@
 // budget) plus a fixed seed, so their results are byte-identical across
 // -jobs, across processes, and across journal resume.
 //
-// Calibration is captured by a Calibrator and optionally persisted
-// through prepcache blobs, so a restarted r3dlad prices its first ladder
-// rung from a file read.
+// Calibration is captured by a Calibrator and optionally persisted as a
+// resultstore entry, so a later process over the same directory prices
+// its first ladder rung from a file read.
 package tier
 
 import (
@@ -27,9 +27,10 @@ import (
 	"encoding/gob"
 	"fmt"
 
+	"r3dla/internal/exp"
 	"r3dla/internal/lab"
 	"r3dla/internal/memo"
-	"r3dla/internal/prepcache"
+	"r3dla/internal/resultstore"
 )
 
 // DefaultCalibBudget is the calibration-run length used when the caller
@@ -73,7 +74,7 @@ type Anchor struct {
 
 // Calibration is everything the estimator tiers know about one workload:
 // the Appendix B demand/supply distributions and the per-preset anchors.
-// It is a plain value, gob-serializable for the prepcache blob.
+// It is a plain value, gob-serializable for its store entry.
 type Calibration struct {
 	Workload string
 	Budget   uint64
@@ -100,13 +101,13 @@ func (c *Calibration) Spread() float64 {
 type Calibrator struct {
 	l      *lab.Lab
 	budget uint64
-	cache  *prepcache.Cache // nil: in-memory only
+	cache  *resultstore.Store // nil: in-memory only
 	cals   memo.Memo[*Calibration, struct{}]
 }
 
 // NewCalibrator builds a calibrator over l. calibBudget 0 selects
 // DefaultCalibBudget; cache may be nil to skip persistence.
-func NewCalibrator(l *lab.Lab, calibBudget uint64, cache *prepcache.Cache) *Calibrator {
+func NewCalibrator(l *lab.Lab, calibBudget uint64, cache *resultstore.Store) *Calibrator {
 	if calibBudget == 0 {
 		calibBudget = DefaultCalibBudget
 	}
@@ -129,29 +130,26 @@ func (c *Calibrator) Get(ctx context.Context, workload string) (*Calibration, er
 	})
 }
 
-// blobKey names the prepcache blob holding one workload's calibration.
-func (c *Calibrator) blobKey(workload string) string {
-	return fmt.Sprintf("tiercal-%s@%d", workload, c.budget)
-}
-
 // capture runs the calibration: the Appendix B frontend profile plus one
 // cycle-accurate anchor run per preset, all at the (short) calibration
-// budget. With a warm prepcache blob the lab is never touched.
+// budget. With a warm store entry the lab is never touched.
 func (c *Calibrator) capture(ctx context.Context, workload string) (*Calibration, error) {
 	p, err := c.l.Prepare(ctx, workload)
 	if err != nil {
 		return nil, err
 	}
-	fp := prepcache.Fingerprint(p.Prog)
-	key := c.blobKey(workload)
+	// The key carries the evaluation program's fingerprint, so an entry
+	// captured against another build of the workload misses.
+	var key string
 	if c.cache != nil {
-		if raw, ok := c.cache.LoadBlob(key, fp); ok {
+		key = fmt.Sprintf("tiercal-%s@%d#%016x", workload, c.budget, exp.ProgramFingerprint(p.Prog))
+		if raw, ok := c.cache.Get(key); ok {
 			var cal Calibration
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cal); err == nil &&
 				cal.Workload == workload && cal.Budget == c.budget && len(cal.Anchors) > 0 {
 				return &cal, nil
 			}
-			// Undecodable or mismatched blob: fall through and recapture.
+			// Undecodable or mismatched entry: fall through and recapture.
 		}
 	}
 
@@ -182,7 +180,7 @@ func (c *Calibrator) capture(ctx context.Context, workload string) (*Calibration
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(cal); err == nil {
 			// A failed store only costs the next process a recapture.
-			_ = c.cache.StoreBlob(key, fp, buf.Bytes())
+			_ = c.cache.Put(key, buf.Bytes())
 		}
 	}
 	return cal, nil

@@ -9,8 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"r3dla/internal/exp"
 	"r3dla/internal/lab"
-	"r3dla/internal/prepcache"
+	"r3dla/internal/resultstore"
 )
 
 const testBudget = 2000
@@ -214,12 +215,12 @@ func TestEstimatorErrorBand(t *testing.T) {
 	}
 }
 
-// TestCalibrationCacheReuse proves the "captured once, cached through
-// prepcache" contract: a second process (fresh Lab over the same cache
-// directory) prices cells without a single simulation.
+// TestCalibrationCacheReuse proves the "captured once, cached on disk"
+// contract: a second process (fresh Lab over the same cache directory)
+// prices cells without a single simulation.
 func TestCalibrationCacheReuse(t *testing.T) {
 	dir := t.TempDir()
-	pc, err := prepcache.New(dir)
+	pc, err := resultstore.Open(dir, exp.PrepFormat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestCalibrationCacheReuse(t *testing.T) {
 		t.Fatalf("warm calibration still ran %d simulations", n)
 	}
 	if !reflect.DeepEqual(cal1, cal2) {
-		t.Fatal("calibration loaded from the blob differs from the captured one")
+		t.Fatal("calibration loaded from the store differs from the captured one")
 	}
 
 	// And the runner built over the warm calibrator produces identical
