@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper at reduced
 // budgets (CI-friendly), plus ablation benches for the design choices
-// DESIGN.md calls out and microbenchmarks of the simulator itself.
+// DESIGN.md calls out and microbenchmarks of the simulator itself, with
+// the allocation tests of the core benchmarks.
 //
 // The full-budget regeneration is `go run ./cmd/r3dla -exp all`.
 package r3dla_test
@@ -9,6 +10,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 
 	"r3dla"
@@ -192,9 +194,7 @@ func itobench(n int) string {
 }
 
 // ---------------------------------------------------------------------
-// Fleet: distributed sweep throughput. CI runs these and publishes the
-// results as the BENCH_fleet.json artifact — the start of the perf
-// trajectory for the distribution layer.
+// Fleet: distributed sweep throughput, run by CI's fleet step.
 
 // fleetSweepSpec is the fixed grid the fleet benches dispatch: one
 // workload x two presets x two BOQ depths = 4 cells.
@@ -274,9 +274,9 @@ func BenchmarkFleetSweepLocal(b *testing.B) { benchFleetSweep(b, 0) }
 func BenchmarkFleetSweep1Backend(b *testing.B) { benchFleetSweep(b, 1) }
 
 // BenchmarkFleetSweep3Backends shards the grid across three r3dlad
-// instances; compare against 1Backend for the scale-out win (in-process
-// servers share this machine's cores, so CI numbers understate a real
-// cluster).
+// instances. It reads slower than 1Backend: every backend that receives
+// a cell prepares mcf itself, and the in-process servers share this
+// machine's cores (DESIGN.md §7).
 func BenchmarkFleetSweep3Backends(b *testing.B) { benchFleetSweep(b, 3) }
 
 // ---------------------------------------------------------------------
@@ -295,20 +295,123 @@ func BenchmarkEmulator(b *testing.B) {
 	}
 }
 
-// BenchmarkTimingModel measures coupled two-core simulation throughput
-// (committed MT instructions per benchmarked op).
-func BenchmarkTimingModel(b *testing.B) {
-	prepAblation(b)
-	for i := 0; i < b.N; i++ {
-		sys := r3dla.NewSystem(ablation.prog, ablation.setup, ablation.set, ablation.prof, core.DLAOptions())
-		sys.Run(10_000)
+// ---------------------------------------------------------------------
+// The core: one warm-prep cycle-accurate cell per preset, skeleton
+// generation and the queue substrate. CI's speed step holds each of
+// these to a wide ns/op ceiling. The Allocs tests below bound their
+// allocations tightly, since a count does not depend on the runner.
+
+// coreBudget is the committed-instruction budget of one CoreRun cell and
+// the Lab budget mcf is prepared at. The CI ceilings were set at it.
+const coreBudget = 10_000
+
+// mcfPrep prepares mcf once per test binary, so CoreRun and SkeletonGen
+// measure simulation and generation only, never preparation. mcf is the
+// paper's poster child: the highest L2 MPKI in the suite, heavy
+// look-ahead activity, and all four R3 mechanisms engaged under r3.
+var mcfPrep = sync.OnceValues(func() (*lab.Prepared, error) {
+	l, err := lab.New(lab.WithBudget(coreBudget))
+	if err != nil {
+		return nil, err
+	}
+	return l.Prepare(context.Background(), "mcf")
+})
+
+func prepMcf(tb testing.TB) *lab.Prepared {
+	tb.Helper()
+	p, err := mcfPrep()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// coreCells are the CoreRun cells. maxAllocs is the allocs/op recorded
+// when the CI ceilings were set (159, 149 and 101) × 1.10 + 16.
+var coreCells = []struct {
+	name      string
+	opt       core.Options
+	maxAllocs float64
+}{
+	{"mcf_r3", core.R3Options(), 190},
+	{"mcf_dla", core.DLAOptions(), 179},
+	{"mcf_baseline", core.Options{Disable: true, WithBOP: true}, 127},
+}
+
+// runCell is one CoreRun op: system construction on a copy-on-write fork
+// of the frozen image, then the cycle loop.
+func runCell(tb testing.TB, p *lab.Prepared, opt core.Options) {
+	sys := core.NewSystemWithMemory(p.Prog, p.Image().Fork(), p.Set, p.Prof, opt)
+	if r := sys.Run(coreBudget); r.MT.Committed == 0 {
+		tb.Fatal("no instructions committed")
 	}
 }
 
-// BenchmarkSkeletonGeneration measures the binary-analysis pass.
-func BenchmarkSkeletonGeneration(b *testing.B) {
-	prepAblation(b)
-	for i := 0; i < b.N; i++ {
-		r3dla.Skeletons(ablation.prog, ablation.prof)
+// BenchmarkCoreRun is the unit of work every sweep, experiment and fleet
+// request fans out over.
+func BenchmarkCoreRun(b *testing.B) {
+	p := prepMcf(b)
+	for _, c := range coreCells {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runCell(b, p, c.opt)
+			}
+		})
+	}
+}
+
+// BenchmarkSkeletonGen is the binary-analysis pass alone: profile-driven
+// skeleton generation for the whole recycle pool.
+func BenchmarkSkeletonGen(b *testing.B) {
+	p := prepMcf(b)
+	b.Run("mcf", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if s := core.Generate(p.Prog, p.Prof); s.Baseline == nil {
+				b.Fatal("no baseline skeleton")
+			}
+		}
+	})
+}
+
+// BenchmarkQueues is one BOQ push+pop and one FQ push+pop per op.
+func BenchmarkQueues(b *testing.B) {
+	b.Run("boq_fq", func(b *testing.B) {
+		boq := core.NewBOQ(512)
+		fq := core.NewFQ(128)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			boq.Push(i&1 == 0)
+			boq.Pop()
+			fq.Push(core.FQEntry{PC: i, Addr: uint64(i)})
+			fq.Pop()
+		}
+	})
+}
+
+// TestCoreRunAllocs bounds the heap objects of one CoreRun cell. The
+// count barely moves between runs (163 or 164, 153 and 103 for r3, dla
+// and baseline when this test was written, with or without -race), so
+// one escaping per-cycle local, which costs thousands, fails at once.
+func TestCoreRunAllocs(t *testing.T) {
+	p := prepMcf(t)
+	for _, c := range coreCells {
+		t.Run(c.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(3, func() { runCell(t, p, c.opt) }); got > c.maxAllocs {
+				t.Errorf("one %s cell allocates %.0f objects, want <= %.0f", c.name, got, c.maxAllocs)
+			}
+		})
+	}
+}
+
+// TestSkeletonGenAllocs bounds the heap objects of one core.Generate
+// call on mcf at 94 × 1.10 + 16; it made 94 when the CI ceilings were
+// set and when this test was written.
+func TestSkeletonGenAllocs(t *testing.T) {
+	p := prepMcf(t)
+	const maxAllocs = 119
+	if got := testing.AllocsPerRun(10, func() { core.Generate(p.Prog, p.Prof) }); got > maxAllocs {
+		t.Errorf("core.Generate on mcf allocates %.0f objects, want <= %d", got, maxAllocs)
 	}
 }

@@ -29,17 +29,7 @@ func runExplore(args []string) {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	var (
 		specPath  = fs.String("spec", "", "explore spec file (JSON); overrides the axis flags")
-		wls       = fs.String("workloads", "", "comma-separated workloads, suites, or 'all'")
-		presets   = fs.String("preset", "", "preset axis: comma-separated baseline,dla,r3")
-		t1s       = fs.String("t1", "", "T1-offload axis: comma-separated true,false")
-		reuses    = fs.String("value-reuse", "", "value-reuse axis: comma-separated true,false")
-		fetchbufs = fs.String("fetch-buffer", "", "fetch-buffer axis: comma-separated true,false")
-		recycles  = fs.String("recycle", "", "recycle axis: comma-separated true,false")
-		boqs      = fs.String("boq", "", "BOQ-size axis: comma-separated ints")
-		fqs       = fs.String("fq", "", "FQ-size axis: comma-separated ints")
-		vqs       = fs.String("vq", "", "VQ-size axis: comma-separated ints")
-		versions  = fs.String("version", "", "fixed skeleton version axis: comma-separated ints")
-		cores     = fs.String("cores", "", "core-model axis: comma-separated default,wide,half")
+		axes      = addAxisFlags(fs)
 		budget    = fs.Uint64("budget", 150_000, "full-fidelity committed instructions per cell")
 		fidelity  = fs.String("fidelity", "", "evaluation fidelity: cycle (default), analytic, mc, or ladder (analytic -> mc -> cycle)")
 		strategy  = fs.String("strategy", dse.StrategyPareto, "search strategy: random, lhs, halving, pareto")
@@ -76,22 +66,7 @@ func runExplore(args []string) {
 			fatalf("%v", err)
 		}
 	} else {
-		spec.Space = sweep.Spec{
-			Workloads: splitList(*wls),
-			Budget:    *budget,
-			Axes: sweep.Axes{
-				Preset:      splitList(*presets),
-				T1:          parseBools("t1", *t1s),
-				ValueReuse:  parseBools("value-reuse", *reuses),
-				FetchBuffer: parseBools("fetch-buffer", *fetchbufs),
-				Recycle:     parseBools("recycle", *recycles),
-				BOQSize:     parseInts("boq", *boqs),
-				FQSize:      parseInts("fq", *fqs),
-				VQSize:      parseInts("vq", *vqs),
-				Version:     parseInts("version", *versions),
-				Cores:       parseCores(*cores),
-			},
-		}
+		spec.Space = axes.spec(*budget)
 	}
 	mergeSearchFlags(&spec, searchFlags{
 		budget:    *budget,

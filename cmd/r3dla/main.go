@@ -73,9 +73,6 @@ func main() {
 		case "run":
 			runRun(os.Args[2:])
 			return
-		case "bench":
-			runBench(os.Args[2:])
-			return
 		case "chaos":
 			runChaos(os.Args[2:])
 			return

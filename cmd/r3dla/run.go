@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"r3dla/internal/fleet"
@@ -113,4 +115,41 @@ func runRun(args []string) {
 		fmt.Fprintf(os.Stderr, "r3dla run: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// startProfiles begins CPU profiling and arranges a heap snapshot; the
+// returned stop function finalizes both.
+func startProfiles(cpupath, mempath string) (stop func() error, err error) {
+	var cpuf *os.File
+	if cpupath != "" {
+		cpuf, err = os.Create(cpupath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuf); err != nil {
+			cpuf.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuf != nil {
+			pprof.StopCPUProfile()
+			if err := cpuf.Close(); err != nil {
+				return err
+			}
+		}
+		if mempath != "" {
+			memf, err := os.Create(mempath)
+			if err != nil {
+				return err
+			}
+			runtime.GC() // materialize the live set before the snapshot
+			if err := pprof.WriteHeapProfile(memf); err != nil {
+				memf.Close()
+				return err
+			}
+			return memf.Close()
+		}
+		return nil
+	}, nil
 }

@@ -25,28 +25,18 @@ func runSweep(args []string) {
 	fatalPrefix = "r3dla sweep"
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
-		specPath  = fs.String("spec", "", "sweep spec file (JSON); overrides the axis flags")
-		wls       = fs.String("workloads", "", "comma-separated workloads, suites, or 'all'")
-		presets   = fs.String("preset", "", "preset axis: comma-separated baseline,dla,r3")
-		t1s       = fs.String("t1", "", "T1-offload axis: comma-separated true,false")
-		reuses    = fs.String("value-reuse", "", "value-reuse axis: comma-separated true,false")
-		fetchbufs = fs.String("fetch-buffer", "", "fetch-buffer axis: comma-separated true,false")
-		recycles  = fs.String("recycle", "", "recycle axis: comma-separated true,false")
-		boqs      = fs.String("boq", "", "BOQ-size axis: comma-separated ints")
-		fqs       = fs.String("fq", "", "FQ-size axis: comma-separated ints")
-		vqs       = fs.String("vq", "", "VQ-size axis: comma-separated ints")
-		versions  = fs.String("version", "", "fixed skeleton version axis: comma-separated ints")
-		cores     = fs.String("cores", "", "core-model axis: comma-separated default,wide,half")
-		budget    = fs.Uint64("budget", 150_000, "committed instructions per cell")
-		fidelity  = fs.String("fidelity", "", "evaluation fidelity: cycle (default), analytic, mc")
-		jobs      = fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS; fleet: 16 per backend)")
-		journal   = fs.String("journal", "", "checkpoint journal path (NDJSON, one cell per line)")
-		resume    = fs.Bool("resume", false, "skip cells already checkpointed in -journal")
-		format    = fs.String("format", "text", "comma-separated output formats: text, json, csv")
-		outDir    = fs.String("out", "results", "directory for json/csv output files")
-		quiet     = fs.Bool("q", false, "suppress progress reporting on stderr")
-		backends  = fs.String("backends", "", "comma-separated r3dlad addresses; empty = run locally")
-		hedge     = fs.Duration("hedge", 0, "fleet: duplicate straggler cells onto a second backend after this delay (0 = off)")
+		specPath = fs.String("spec", "", "sweep spec file (JSON); overrides the axis flags")
+		axes     = addAxisFlags(fs)
+		budget   = fs.Uint64("budget", 150_000, "committed instructions per cell")
+		fidelity = fs.String("fidelity", "", "evaluation fidelity: cycle (default), analytic, mc")
+		jobs     = fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS; fleet: 16 per backend)")
+		journal  = fs.String("journal", "", "checkpoint journal path (NDJSON, one cell per line)")
+		resume   = fs.Bool("resume", false, "skip cells already checkpointed in -journal")
+		format   = fs.String("format", "text", "comma-separated output formats: text, json, csv")
+		outDir   = fs.String("out", "results", "directory for json/csv output files")
+		quiet    = fs.Bool("q", false, "suppress progress reporting on stderr")
+		backends = fs.String("backends", "", "comma-separated r3dlad addresses; empty = run locally")
+		hedge    = fs.Duration("hedge", 0, "fleet: duplicate straggler cells onto a second backend after this delay (0 = off)")
 	)
 	fs.Parse(args)
 
@@ -75,22 +65,7 @@ func runSweep(args []string) {
 			spec.Budget = *budget
 		}
 	} else {
-		spec = sweep.Spec{
-			Workloads: splitList(*wls),
-			Budget:    *budget,
-			Axes: sweep.Axes{
-				Preset:      splitList(*presets),
-				T1:          parseBools("t1", *t1s),
-				ValueReuse:  parseBools("value-reuse", *reuses),
-				FetchBuffer: parseBools("fetch-buffer", *fetchbufs),
-				Recycle:     parseBools("recycle", *recycles),
-				BOQSize:     parseInts("boq", *boqs),
-				FQSize:      parseInts("fq", *fqs),
-				VQSize:      parseInts("vq", *vqs),
-				Version:     parseInts("version", *versions),
-				Cores:       parseCores(*cores),
-			},
-		}
+		spec = axes.spec(*budget)
 	}
 	// An explicit -fidelity beats the spec file's fidelity (axis-flag
 	// grids have no other way to set it at all).
@@ -199,6 +174,49 @@ var fatalPrefix = "r3dla sweep"
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, fatalPrefix+": "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// axisFlags holds the per-axis grid flags that `r3dla sweep` and
+// `r3dla explore` share.
+type axisFlags struct {
+	workloads, presets, t1, valueReuse, fetchBuffer, recycle *string
+	boq, fq, vq, version, cores                              *string
+}
+
+func addAxisFlags(fs *flag.FlagSet) *axisFlags {
+	return &axisFlags{
+		workloads:   fs.String("workloads", "", "comma-separated workloads, suites, or 'all'"),
+		presets:     fs.String("preset", "", "preset axis: comma-separated baseline,dla,r3"),
+		t1:          fs.String("t1", "", "T1-offload axis: comma-separated true,false"),
+		valueReuse:  fs.String("value-reuse", "", "value-reuse axis: comma-separated true,false"),
+		fetchBuffer: fs.String("fetch-buffer", "", "fetch-buffer axis: comma-separated true,false"),
+		recycle:     fs.String("recycle", "", "recycle axis: comma-separated true,false"),
+		boq:         fs.String("boq", "", "BOQ-size axis: comma-separated ints"),
+		fq:          fs.String("fq", "", "FQ-size axis: comma-separated ints"),
+		vq:          fs.String("vq", "", "VQ-size axis: comma-separated ints"),
+		version:     fs.String("version", "", "fixed skeleton version axis: comma-separated ints"),
+		cores:       fs.String("cores", "", "core-model axis: comma-separated default,wide,half"),
+	}
+}
+
+// spec is the grid the parsed flags describe, at budget.
+func (a *axisFlags) spec(budget uint64) sweep.Spec {
+	return sweep.Spec{
+		Workloads: splitList(*a.workloads),
+		Budget:    budget,
+		Axes: sweep.Axes{
+			Preset:      splitList(*a.presets),
+			T1:          parseBools("t1", *a.t1),
+			ValueReuse:  parseBools("value-reuse", *a.valueReuse),
+			FetchBuffer: parseBools("fetch-buffer", *a.fetchBuffer),
+			Recycle:     parseBools("recycle", *a.recycle),
+			BOQSize:     parseInts("boq", *a.boq),
+			FQSize:      parseInts("fq", *a.fq),
+			VQSize:      parseInts("vq", *a.vq),
+			Version:     parseInts("version", *a.version),
+			Cores:       parseCores(*a.cores),
+		},
+	}
 }
 
 // splitList splits a comma-separated flag value ("" = nil).

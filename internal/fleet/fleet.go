@@ -1,10 +1,9 @@
 // Package fleet distributes simulation work across a pool of backends.
-// A Backend executes one run or experiment; Local wraps the in-process
-// Lab client, Remote speaks the r3dlad wire format over HTTP, and Pool
-// routes requests across many backends — least-loaded dispatch with
-// per-backend inflight accounting, health probing with backoff for dead
-// members, bounded retries that exclude the backend that failed, and
-// optional hedging of straggler requests.
+// A Backend executes one run or experiment; Remote speaks the r3dlad
+// wire format over HTTP, and Pool routes requests across many backends —
+// least-loaded dispatch with per-backend inflight accounting, health
+// probing with backoff for dead members, bounded retries that exclude
+// the backend that failed, and optional hedging of straggler requests.
 //
 // The contract that makes distribution safe is determinism: every run is
 // a pure function of (workload, config, budget), keyed canonically as

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var updateRunGoldens = flag.Bool("update-run-goldens", false,
+var updateRunGoldens = flag.Bool("update", false,
 	"rewrite RunResult golden files under testdata/runs/")
 
 // goldenBudget keeps the golden grid cheap enough to run under -race in
@@ -75,7 +75,7 @@ func TestRunResultGoldens(t *testing.T) {
 				}
 				want, err := os.ReadFile(path)
 				if err != nil {
-					t.Fatalf("missing golden (run `go test ./internal/lab -run TestRunResultGoldens -update-run-goldens`): %v", err)
+					t.Fatalf("missing golden (run `go test ./internal/lab -run TestRunResultGoldens -update`): %v", err)
 				}
 				if !bytes.Equal(got, want) {
 					t.Errorf("%s/%s drifted from the seed-core golden.\n--- want ---\n%s--- got ---\n%s",
