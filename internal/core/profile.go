@@ -127,7 +127,7 @@ func Collect(prog *isa.Program, setup func(*emu.Memory), budget uint64) *Profile
 	mach := emu.NewMachine(prog, mem)
 	feed := &pipeline.MachineFeeder{M: mach, Budget: budget}
 	dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
-	coreC, priv, _ := memsys.NewBaselineCore(pipeline.DefaultConfig(), feed, dir, memsys.Options{WithBOP: true})
+	coreC, priv := memsys.NewBaselineCore(pipeline.DefaultConfig(), feed, dir, memsys.Options{WithBOP: true})
 
 	lastStore := make(map[uint64]int) // word -> store PC
 	strides := make([]strideTrack, len(prog.Insts))

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"r3dla/internal/branch"
+	"r3dla/internal/cache"
+	"r3dla/internal/dram"
 	"r3dla/internal/emu"
 	"r3dla/internal/isa"
 	"r3dla/internal/memsys"
@@ -77,9 +80,12 @@ func DLAOptions() Options {
 	return Options{WithBOP: true}
 }
 
-// Results aggregates a DLA run's observables.
+// Results is a DLA run's observables, snapshotted when the run ends. It
+// shares no memory with the System that produced it: a kept Results (the
+// run memo keeps one per distinct cell) costs its counters, not the
+// simulated machine behind them.
 type Results struct {
-	MT, LT *pipeline.Metrics
+	MT, LT *pipeline.Metrics // LT is nil without a look-ahead thread
 
 	Reboots         uint64
 	WatchdogReboots uint64 // forced resyncs after MT starvation
@@ -92,8 +98,9 @@ type Results struct {
 	SIFDeletes      uint64
 	SkeletonUse     []uint64 // committed MT insts attributed per version
 
-	MTMem, LTMem *memsys.Private
-	Shared       *memsys.Shared
+	MTMem, LTMem memsys.Stats // each core's private L1I/L1D/L2 counters
+	L3           cache.Stats
+	DRAM         dram.Stats
 }
 
 // IPC reports the MT (architectural) IPC.
@@ -154,7 +161,7 @@ type System struct {
 	wdStall         uint64
 
 	now uint64
-	res Results
+	res Results // the counters the cycle loop bumps; Results fills the rest
 }
 
 // watchdogWindow is the no-MT-progress window (cycles) that forces an LT
@@ -623,12 +630,13 @@ func (s *System) LCTSnapshot() map[int]int {
 	return out
 }
 
-// Results snapshots the run's observables.
+// Results snapshots the run's observables into a Results that shares no
+// memory with s.
 func (s *System) Results() *Results {
-	r := &s.res
-	r.MT = &s.mt.M
+	r := s.res
+	r.MT = s.mt.M.Snapshot()
 	if s.lt != nil {
-		r.LT = &s.lt.M
+		r.LT = s.lt.M.Snapshot()
 		r.LTSkipped = s.ltFeed.Skipped
 	}
 	r.FQDrops = s.fq.Drops + s.ind.Drops
@@ -640,8 +648,9 @@ func (s *System) Results() *Results {
 	r.SIFDeletes = s.sif.Deletes
 	if s.rc != nil {
 		s.rc.Finish(s.mt.M.Committed, s.mt.M.Cycles)
-		r.SkeletonUse = s.rc.UseInsts
+		r.SkeletonUse = slices.Clone(s.rc.UseInsts)
 	}
-	r.MTMem, r.LTMem, r.Shared = s.mtMem, s.ltMem, s.shared
-	return r
+	r.MTMem, r.LTMem = s.mtMem.Stats(), s.ltMem.Stats()
+	r.L3, r.DRAM = s.shared.L3.Stats, s.shared.DRAM.Stats
+	return &r
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -244,6 +246,24 @@ func TestFixedVersionZeroSelectsReducedSkeleton(t *testing.T) {
 	if v0.LT.Committed >= base.LT.Committed {
 		t.Fatalf("version 0 (reduced) LT committed %d >= baseline skeleton's %d",
 			v0.LT.Committed, base.LT.Committed)
+	}
+}
+
+// TestResultsAreDetached asserts a Results is a snapshot: running its
+// System further moves none of the numbers it holds.
+func TestResultsAreDetached(t *testing.T) {
+	prog, setup, prof, set := mixProfile()
+	sys := NewSystem(prog, setup, set, prof, R3Options())
+	r := sys.Run(testBudget / 2)
+	want := *r
+	mt, lt := *r.MT, *r.LT
+	want.MT, want.LT, want.SkeletonUse = &mt, &lt, slices.Clone(r.SkeletonUse)
+	if later := sys.Run(testBudget); later.MT.Committed <= mt.Committed {
+		t.Fatalf("the continued run committed nothing more (%d)", later.MT.Committed)
+	}
+	if !reflect.DeepEqual(*r, want) {
+		t.Fatalf("an earlier Results moved with its System (MT committed %d, %d when taken)",
+			r.MT.Committed, mt.Committed)
 	}
 }
 

@@ -43,6 +43,9 @@ type Stats struct {
 	BusyStalls uint64 // requests delayed by bank/bus occupancy
 }
 
+// Traffic reports total blocks moved to/from memory.
+func (s *Stats) Traffic() uint64 { return s.Reads + s.Writes }
+
 type bank struct {
 	openRow   int64
 	nextReady uint64
@@ -126,6 +129,3 @@ func (d *DRAM) Access(addr uint64, write, prefetch bool, now uint64) cache.Resul
 // data movement occupies bandwidth lazily: we charge it to the statistics
 // (traffic, energy) without blocking the read path.
 func (d *DRAM) Writeback() { d.Stats.Writes++ }
-
-// Traffic reports total blocks moved to/from memory.
-func (d *DRAM) Traffic() uint64 { return d.Stats.Reads + d.Stats.Writes }

@@ -58,8 +58,8 @@ func TestReadWriteCounts(t *testing.T) {
 	if d.Stats.Reads != 1 || d.Stats.Writes != 2 {
 		t.Fatalf("reads=%d writes=%d, want 1/2", d.Stats.Reads, d.Stats.Writes)
 	}
-	if d.Traffic() != 3 {
-		t.Fatalf("traffic = %d, want 3", d.Traffic())
+	if d.Stats.Traffic() != 3 {
+		t.Fatalf("traffic = %d, want 3", d.Stats.Traffic())
 	}
 }
 

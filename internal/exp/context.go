@@ -423,13 +423,12 @@ func (c *Context) RunBaseline(p *Prepared, bop bool) *core.Results {
 
 // BaselineMetricsOn runs a standalone baseline core with an arbitrary
 // pipeline config (used by the fetch-buffer and SMT studies).
-func BaselineMetricsOn(p *Prepared, cfg pipeline.Config, budget uint64, bop bool) (*pipeline.Metrics, *memsys.Private) {
+func BaselineMetricsOn(p *Prepared, cfg pipeline.Config, budget uint64, bop bool) *pipeline.Metrics {
 	mach := emu.NewMachine(p.Prog, p.Image().Fork())
 	feed := &pipeline.MachineFeeder{M: mach}
 	dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
-	coreC, priv, _ := memsys.NewBaselineCore(cfg, feed, dir, memsys.Options{WithBOP: bop})
-	m := coreC.Run(budget)
-	return m, priv
+	coreC, _ := memsys.NewBaselineCore(cfg, feed, dir, memsys.Options{WithBOP: bop})
+	return coreC.Run(budget)
 }
 
 // SuiteNames lists workload names of a suite (or all for "all").

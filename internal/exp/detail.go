@@ -108,7 +108,7 @@ func Fig12(c *Context) *Report {
 				if metric == "speedup" {
 					return r.IPC() / dla.IPC()
 				}
-				return float64(r.Shared.DRAM.Traffic()) / float64(dla.Shared.DRAM.Traffic())
+				return float64(r.DRAM.Traffic()) / float64(dla.DRAM.Traffic())
 			})
 			summarizeSuites(t, cf.name, vals)
 		}
@@ -129,9 +129,9 @@ func Fig13a(c *Context) *Report {
 		var ipc float64
 		c.Do(func() {
 			cfg := pipeline.DefaultConfig()
-			base, _ := BaselineMetricsOn(p, cfg, c.Budget, true)
+			base := BaselineMetricsOn(p, cfg, c.Budget, true)
 			cfg.FetchBufSize = 32
-			fb, _ := BaselineMetricsOn(p, cfg, c.Budget, true)
+			fb := BaselineMetricsOn(p, cfg, c.Budget, true)
 			ipc = fb.IPC() / base.IPC()
 		})
 		return ipc
@@ -196,6 +196,9 @@ func Fig13c(c *Context) *Report {
 		{"FB (fetch buffer)",
 			core.Options{WithBOP: true, FetchBuffer: true},
 			func() core.Options { o := core.R3Options(); o.FetchBuffer = false; return o }()},
+		{"RC (recycle)",
+			core.Options{WithBOP: true, Recycle: true},
+			func() core.Options { o := core.R3Options(); o.Recycle = false; return o }()},
 	}
 	t := &stats.Table{
 		Title:  "Fig. 13-c: technique applied first vs last (all-suite geomean)",

@@ -3,6 +3,8 @@ package exp
 import (
 	"r3dla/internal/core"
 	"r3dla/internal/energy"
+	"r3dla/internal/memsys"
+	"r3dla/internal/pipeline"
 )
 
 // RunEnergy totals one run's energy under p: cpuJ covers both cores plus
@@ -15,17 +17,19 @@ import (
 // can never disagree.
 func RunEnergy(r *core.Results, p energy.Params) (cpuJ, dramJ float64) {
 	wall := r.MT.Cycles
-	cpuJ = energy.Core(energy.CoreActivity{
-		Metrics: r.MT, L1I: &r.MTMem.L1I.Stats, L1D: &r.MTMem.L1D.Stats,
-		L2: &r.MTMem.L2.Stats, WallCycles: wall,
-	}, p).TotalJ()
+	cpuJ = coreEnergy(r.MT, &r.MTMem, wall, p).TotalJ()
 	if r.LT != nil {
-		cpuJ += energy.Core(energy.CoreActivity{
-			Metrics: r.LT, L1I: &r.LTMem.L1I.Stats, L1D: &r.LTMem.L1D.Stats,
-			L2: &r.LTMem.L2.Stats, WallCycles: wall,
-		}, p).TotalJ()
+		cpuJ += coreEnergy(r.LT, &r.LTMem, wall, p).TotalJ()
 	}
-	cpuJ += energy.Shared(&r.Shared.L3.Stats, wall, p).TotalJ()
-	dramJ = energy.DRAM(&r.Shared.DRAM.Stats, wall, p).TotalJ()
+	cpuJ += energy.Shared(&r.L3, wall, p).TotalJ()
+	dramJ = energy.DRAM(&r.DRAM, wall, p).TotalJ()
 	return cpuJ, dramJ
+}
+
+// coreEnergy is one core's energy breakdown: its pipeline metrics and
+// private cache counters, powered for wall cycles.
+func coreEnergy(m *pipeline.Metrics, mem *memsys.Stats, wall uint64, p energy.Params) energy.Breakdown {
+	return energy.Core(energy.CoreActivity{
+		Metrics: m, L1I: &mem.L1I, L1D: &mem.L1D, L2: &mem.L2, WallCycles: wall,
+	}, p)
 }

@@ -63,8 +63,8 @@ func Fig11(c *Context) *Report {
 
 		var hcIPC, fcIPC, smt float64
 		c.Do(func() {
-			hc, _ := BaselineMetricsOn(p, half, budget, true)
-			fc, _ := BaselineMetricsOn(p, wide, budget, true)
+			hc := BaselineMetricsOn(p, half, budget, true)
+			fc := BaselineMetricsOn(p, wide, budget, true)
 			hcIPC, fcIPC = hc.IPC(), fc.IPC()
 			smt = runSMTPair(p, budget)
 		})

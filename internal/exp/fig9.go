@@ -162,10 +162,7 @@ func Table2(c *Context) *Report {
 		pr := c.Prep(names[wi])
 		bl := c.RunCached("BL", pr, core.Options{Disable: true, WithBOP: true})
 		bAct := energy.ActivityOf(bl.MT)
-		bEn := energy.Core(energy.CoreActivity{
-			Metrics: bl.MT, L1I: &bl.MTMem.L1I.Stats, L1D: &bl.MTMem.L1D.Stats,
-			L2: &bl.MTMem.L2.Stats, WallCycles: bl.MT.Cycles,
-		}, p)
+		bEn := coreEnergy(bl.MT, &bl.MTMem, bl.MT.Cycles, p)
 		out := make(map[string]contrib, 4)
 		mk := func(act energy.Activity, e energy.Breakdown) contrib {
 			ar := act.Ratio(bAct)
@@ -183,15 +180,8 @@ func Table2(c *Context) *Report {
 				opt = core.R3Options()
 			}
 			r := c.RunCached(cfgName+"dla-r3", pr, opt)
-			wall := r.MT.Cycles
-			mtEn := energy.Core(energy.CoreActivity{
-				Metrics: r.MT, L1I: &r.MTMem.L1I.Stats, L1D: &r.MTMem.L1D.Stats,
-				L2: &r.MTMem.L2.Stats, WallCycles: wall,
-			}, p)
-			ltEn := energy.Core(energy.CoreActivity{
-				Metrics: r.LT, L1I: &r.LTMem.L1I.Stats, L1D: &r.LTMem.L1D.Stats,
-				L2: &r.LTMem.L2.Stats, WallCycles: wall,
-			}, p)
+			mtEn := coreEnergy(r.MT, &r.MTMem, r.MT.Cycles, p)
+			ltEn := coreEnergy(r.LT, &r.LTMem, r.MT.Cycles, p)
 			out[cfgName+" MT"] = mk(energy.ActivityOf(r.MT), mtEn)
 			out[cfgName+" LT"] = mk(energy.ActivityOf(r.LT), ltEn)
 		}

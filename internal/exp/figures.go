@@ -88,7 +88,7 @@ func MeasureSupplyDemand(c *Context, p *Prepared, budget uint64) (demand, supply
 			cfg.FetchWidth = 16   // Appendix B case study: 16-wide I-cache fetch
 			cfg.FetchBufSize = 64 // don't let the buffer cap the supply measure
 			muts[i](&cfg)
-			ms[i], _ = BaselineMetricsOn(p, cfg, budget, true)
+			ms[i] = BaselineMetricsOn(p, cfg, budget, true)
 		})
 	})
 	return ms[0].Demand.Dist(), ms[1].Supply.Dist(), ms[2].Supply.Dist()
@@ -155,7 +155,7 @@ func Fig14(c *Context) *Report {
 		cfg.FetchWidth = 16
 		cfg.FetchBufSize = 32
 		cfg.TrackFetchQOcc = true
-		m, _ := BaselineMetricsOn(p, cfg, c.Budget/4, true)
+		m := BaselineMetricsOn(p, cfg, c.Budget/4, true)
 		sim = m.FetchQOcc.Dist()
 	})
 

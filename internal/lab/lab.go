@@ -252,8 +252,8 @@ func newRunResult(workload string, cfg Config, budget uint64, r *core.Results) *
 		BOQWrong:    r.BOQWrong,
 		T1Issued:    r.T1Issued,
 		SkeletonUse: r.SkeletonUse,
-		L1DMPKI:     r.MTMem.L1D.Stats.MPKI(r.MT.Committed),
-		DRAMTraffic: r.Shared.DRAM.Traffic(),
+		L1DMPKI:     r.MTMem.L1D.MPKI(r.MT.Committed),
+		DRAMTraffic: r.DRAM.Traffic(),
 		Deadlocked:  r.MT.Deadlocked,
 	}
 	p := energy.DefaultParams()
@@ -370,7 +370,7 @@ func (l *Lab) CoreIPC(ctx context.Context, p *Prepared, cfg pipeline.Config, bud
 	var ipc float64
 	err := l.guarded(ctx, func(c *exp.Context) {
 		c.Do(func() {
-			m, _ := exp.BaselineMetricsOn(p, cfg, budget, bop)
+			m := exp.BaselineMetricsOn(p, cfg, budget, bop)
 			ipc = m.IPC()
 		})
 	})

@@ -3,6 +3,7 @@ package lab
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -352,6 +353,48 @@ func TestLabCancellation(t *testing.T) {
 	}
 	if _, err := l.Run(context.Background(), RunRequest{Workload: "mcf", Config: ConfigSpec{Preset: "dla"}}); err != nil {
 		t.Fatalf("lab poisoned after cancellation: %v", err)
+	}
+}
+
+// TestRunMemoKeepsNumbersNotMachines bounds what the run memo keeps per
+// distinct cell. A memoized run is a snapshot of its counters; one that
+// still pointed into its System would pin both cores, their predictors
+// and the L3's line array, well over a megabyte per cell.
+func TestRunMemoKeepsNumbersNotMachines(t *testing.T) {
+	l, err := New(WithBudget(3_000), WithJobs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := l.RunConfig(ctx, "mcf", MustConfig(DLA), 2_000); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	cells := 0
+	for i := range 20 {
+		for _, p := range []Preset{Baseline, DLA, R3} {
+			if _, err := l.RunConfig(ctx, "mcf", MustConfig(p), 3_000+uint64(i)*100); err != nil {
+				t.Fatal(err)
+			}
+			cells++
+		}
+	}
+	growth := heap() - before
+	runtime.KeepAlive(l)
+	if n := l.RunCount(); n != cells+1 {
+		t.Fatalf("lab simulated %d cells, want %d distinct ones", n, cells+1)
+	}
+	const maxPerCell = 64 << 10
+	per := growth / int64(cells)
+	t.Logf("live heap grew %d bytes per memoized cell", per)
+	if per > maxPerCell {
+		t.Errorf("the run memo keeps %d KB of live heap per cell, want <= %d KB", per>>10, maxPerCell>>10)
 	}
 }
 

@@ -38,6 +38,16 @@ type Private struct {
 	strideBuf []uint64
 }
 
+// Stats is a snapshot of one private stack's cache counters.
+type Stats struct {
+	L1I, L1D, L2 cache.Stats
+}
+
+// Stats snapshots the stack's counters.
+func (p *Private) Stats() Stats {
+	return Stats{L1I: p.L1I.Stats, L1D: p.L1D.Stats, L2: p.L2.Stats}
+}
+
 // Options selects the prefetchers and containment mode of a private stack.
 type Options struct {
 	WithBOP      bool // Best-Offset prefetcher at L2 (baseline default)
@@ -100,10 +110,9 @@ func (p *Private) LoadHook() func(d *emu.DynInst, level int, done, now uint64) {
 // NewBaselineCore assembles a complete baseline core (Table I + BOP) over
 // a fresh shared memory system, returning the core and its private stack.
 // This is the configuration every experiment normalizes against.
-func NewBaselineCore(cfg pipeline.Config, feed pipeline.Feeder, dir pipeline.DirectionSource, opt Options) (*pipeline.Core, *Private, *Shared) {
-	sh := NewShared()
-	priv := NewPrivate(sh, opt)
+func NewBaselineCore(cfg pipeline.Config, feed pipeline.Feeder, dir pipeline.DirectionSource, opt Options) (*pipeline.Core, *Private) {
+	priv := NewPrivate(NewShared(), opt)
 	core := pipeline.New(cfg, feed, dir, priv.L1I, priv.L1D)
 	core.Hooks.OnLoadAccess = priv.LoadHook()
-	return core, priv, sh
+	return core, priv
 }

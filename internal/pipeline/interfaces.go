@@ -140,6 +140,14 @@ type Metrics struct {
 	Demand    *stats.Histogram
 }
 
+// Snapshot returns a copy of m that shares no memory with it, so a
+// finished run's metrics can outlive the core that counted them.
+func (m *Metrics) Snapshot() *Metrics {
+	c := *m
+	c.FetchQOcc, c.Supply, c.Demand = m.FetchQOcc.Clone(), m.Supply.Clone(), m.Demand.Clone()
+	return &c
+}
+
 // IPC reports committed instructions per cycle.
 func (m *Metrics) IPC() float64 {
 	if m.Cycles == 0 {

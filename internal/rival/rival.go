@@ -91,7 +91,7 @@ func RunBFetch(prog *isa.Program, setup func(*emu.Memory), budget uint64) *pipel
 		return pred, ok
 	})
 
-	c, priv, _ = memsys.NewBaselineCore(pipeline.DefaultConfig(), feed, dir, memsys.Options{WithBOP: true})
+	c, priv = memsys.NewBaselineCore(pipeline.DefaultConfig(), feed, dir, memsys.Options{WithBOP: true})
 	inner := priv.LoadHook()
 	c.Hooks.OnLoadAccess = func(d *emu.DynInst, level int, done, now uint64) {
 		inner(d, level, done, now)

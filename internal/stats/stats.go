@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -110,6 +111,15 @@ type Histogram struct {
 // NewHistogram returns a histogram with bins [0, n].
 func NewHistogram(n int) *Histogram {
 	return &Histogram{Counts: make([]uint64, n+1)}
+}
+
+// Clone returns a copy of h that shares no memory with it (nil for a
+// nil h).
+func (h *Histogram) Clone() *Histogram {
+	if h == nil {
+		return nil
+	}
+	return &Histogram{Counts: slices.Clone(h.Counts), Total: h.Total}
 }
 
 // Add counts one observation of value v (clamped into range).

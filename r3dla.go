@@ -42,7 +42,7 @@ type (
 	SystemOptions = core.Options
 	// System is a coupled look-ahead + main-thread machine.
 	System = core.System
-	// Results carries a run's metrics.
+	// Results carries a finished run's metrics, detached from its System.
 	Results = core.Results
 	// WorkloadSpec is one benchmark of the evaluation suite.
 	WorkloadSpec = workloads.Workload
