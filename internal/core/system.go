@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"r3dla/internal/branch"
 	"r3dla/internal/cache"
@@ -67,6 +69,42 @@ func (o *Options) fill() {
 	if o.RebootCost == 0 {
 		o.RebootCost = 64
 	}
+}
+
+// Key renders the options as the canonical configuration key: equal
+// keys mean identical simulation semantics. It is the one name of a
+// configuration; run memos, result stores, sweep journals and
+// RunResult.config all persist it, so its bytes must not change.
+func (o Options) Key() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "t1=%t,vr=%t,fb=%t,rc=%t,bop=%t,stride=%t,po=%t,dis=%t",
+		o.T1, o.ValueReuse, o.FetchBuffer, o.Recycle, o.WithBOP, o.WithStride, o.PrefetchOnly, o.Disable)
+	fmt.Fprintf(&b, ",boq=%d,fq=%d,vq=%d,reboot=%d,trial=%d",
+		o.BOQSize, o.FQSize, o.VQSize, o.RebootCost, o.TrialInsts)
+	if o.HasFixedVersion {
+		fmt.Fprintf(&b, ",v=%d", o.FixedVersion)
+	}
+	if o.StaticLCT != nil {
+		loops := make([]int, 0, len(o.StaticLCT))
+		for l := range o.StaticLCT {
+			loops = append(loops, l)
+		}
+		sort.Ints(loops)
+		b.WriteString(",lct=")
+		for i, l := range loops {
+			if i > 0 {
+				b.WriteByte('|')
+			}
+			fmt.Fprintf(&b, "%d:%d", l, o.StaticLCT[l])
+		}
+	}
+	if o.CoreCfg != nil {
+		fmt.Fprintf(&b, ",core={%+v}", *o.CoreCfg)
+	}
+	if o.LTCfg != nil {
+		fmt.Fprintf(&b, ",ltcore={%+v}", *o.LTCfg)
+	}
+	return b.String()
 }
 
 // R3Options returns the full R3-DLA configuration.

@@ -41,7 +41,7 @@ type Event struct {
 	Stage    string // "prep", "run", or "exp"
 	Exp      string // experiment id ("exp" stage only)
 	Workload string // workload name ("prep"/"run" stages)
-	Key      string // configuration key ("run" stage only)
+	Key      string // canonical configuration key, core.Options.Key ("run" stage only)
 	Elapsed  time.Duration
 }
 
@@ -179,11 +179,11 @@ func (c *Context) abort(err error) {
 }
 
 // Do runs f on the worker pool: it blocks for a slot (respecting Jobs),
-// runs f, and releases the slot. Prep, RunDLA and RunCached acquire a
-// slot themselves; Do is for compute-heavy leaf work that bypasses them
+// runs f, and releases the slot. Prep and RunCached acquire a slot
+// themselves; Do is for compute-heavy leaf work that bypasses them
 // (direct BaselineMetricsOn / limit-study / rival runs). f must not call
-// Do, Prep, RunDLA or RunCached — nested acquisition would deadlock a
-// one-slot pool.
+// Do, Prep or RunCached — nested acquisition would deadlock a one-slot
+// pool.
 func (c *Context) Do(f func()) {
 	c.checkCanceled()
 	c.state.semOnce.Do(c.initSem)
@@ -195,8 +195,8 @@ func (c *Context) Do(f func()) {
 
 // ParallelEach runs f(0..n-1) concurrently and returns when all are
 // done. It spawns one goroutine per index; actual compute stays bounded
-// because every heavy operation inside f (Prep, RunDLA, RunCached, Do)
-// acquires a worker-pool slot. Callers get deterministic results by
+// because every heavy operation inside f (Prep, RunCached, Do) acquires
+// a worker-pool slot. Callers get deterministic results by
 // writing to index i of a preallocated slice. A panic in any f
 // (including cancellation) is re-raised in the caller.
 func (c *Context) ParallelEach(n int, f func(i int)) {
@@ -249,37 +249,38 @@ func (c *Context) emit(ev Event) {
 	}
 }
 
-// RunCached memoizes a DLA run under an explicit configuration key, so
-// experiments sharing the standard configurations (BL/DLA/R3…) reuse each
-// other's runs. Concurrent callers with the same key block on a single
-// simulation (singleflight).
-func (c *Context) RunCached(key string, p *Prepared, opt core.Options) *core.Results {
-	return c.RunCachedAt(key, p, opt, c.Budget)
+// RunKey renders the identity of one simulation: workload, the options'
+// canonical key (core.Options.Key) and budget. Equal keys mean identical
+// simulation semantics, so it is the one key of the run memo, and the
+// Lab's result store and the sweep journals persist it.
+func RunKey(workload string, opt core.Options, budget uint64) string {
+	return fmt.Sprintf("%s|%s@%d", workload, opt.Key(), budget)
 }
 
-// RunCachedAt is RunCached at an explicit budget (the service lets each
-// request pick its own); the budget is folded into the memoization key so
-// different budgets never alias.
-func (c *Context) RunCachedAt(key string, p *Prepared, opt core.Options, budget uint64) *core.Results {
-	return c.RunShared(key, p, opt, budget, nil, nil)
+// RunCached memoizes a run at the Context's budget under its RunKey, so
+// experiments asking for the same configuration (BL, DLA, R3-DLA, …)
+// share one simulation. Concurrent callers with the same key block on a
+// single simulation (singleflight).
+func (c *Context) RunCached(p *Prepared, opt core.Options) *core.Results {
+	return c.RunShared(p, opt, c.Budget, nil, nil)
 }
 
-// RunShared is RunCachedAt for a caller that acts on the simulation it
+// RunShared is RunCached at an explicit budget (the service lets each
+// request pick its own), for a caller that acts on the simulation it
 // shares: joined runs when the call starts waiting on a simulation
 // another caller started, and fresh receives the result of a simulation
 // this call ran, before any caller waiting on it wakes. Either may be
 // nil. The simulation runs under a context that ends only when every
 // caller waiting on it has gone.
-func (c *Context) RunShared(key string, p *Prepared, opt core.Options, budget uint64, joined func(), fresh func(*core.Results)) *core.Results {
-	k := fmt.Sprintf("%s/%s@%d", p.W.Name, key, budget)
+func (c *Context) RunShared(p *Prepared, opt core.Options, budget uint64, joined func(), fresh func(*core.Results)) *core.Results {
 	w := memo.Watcher[Event]{Events: c.watcher, Joined: joined}
-	r, err := c.state.runs.Watch(c.ctx, k, w, func(ctx context.Context, emit func(Event)) (*core.Results, error) {
+	r, err := c.state.runs.Watch(c.ctx, RunKey(p.W.Name, opt, budget), w, func(ctx context.Context, emit func(Event)) (*core.Results, error) {
 		start := time.Now()
 		res := c.WithCancel(ctx).RunDLAAt(p, opt, budget)
 		c.state.mu.Lock()
 		c.state.runCount++
 		c.state.mu.Unlock()
-		emit(Event{Stage: "run", Workload: p.W.Name, Key: key, Elapsed: time.Since(start)})
+		emit(Event{Stage: "run", Workload: p.W.Name, Key: opt.Key(), Elapsed: time.Since(start)})
 		if fresh != nil {
 			fresh(res)
 		}
@@ -374,7 +375,7 @@ func (c *Context) PrepCount(name string) int {
 }
 
 // RunCount reports how many memoized simulations actually executed
-// (cache misses through RunCached/RunCachedAt). Resume and cache-sharing
+// (cache misses through RunCached/RunShared). Resume and cache-sharing
 // tests use it to assert journaled or overlapping work is not repeated.
 func (c *Context) RunCount() int {
 	c.state.mu.Lock()
@@ -382,14 +383,9 @@ func (c *Context) RunCount() int {
 	return c.state.runCount
 }
 
-// RunDLA runs one DLA/R3 configuration on a prepared workload, on the
-// worker pool.
-func (c *Context) RunDLA(p *Prepared, opt core.Options) *core.Results {
-	return c.RunDLAAt(p, opt, c.Budget)
-}
-
-// RunDLAAt is RunDLA at an explicit budget. The recycle trial window
-// scales with the budget (each version needs to run well past the BOQ
+// RunDLAAt runs one configuration on a prepared workload at budget, on
+// the worker pool, outside the run memo. The recycle trial window scales
+// with the budget (each version needs to run well past the BOQ
 // depth, but six trials must not eat a short run). Runs poll the
 // Context's cancellation cooperatively, so a canceled Context aborts
 // even mid-simulation.
@@ -414,11 +410,6 @@ func (c *Context) RunDLAAt(p *Prepared, opt core.Options, budget uint64) *core.R
 		r = res
 	})
 	return r
-}
-
-// RunBaseline runs the plain single-core baseline (optionally with BOP).
-func (c *Context) RunBaseline(p *Prepared, bop bool) *core.Results {
-	return c.RunDLA(p, core.Options{Disable: true, WithBOP: bop})
 }
 
 // BaselineMetricsOn runs a standalone baseline core with an arbitrary

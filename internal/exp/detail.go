@@ -103,8 +103,8 @@ func Fig12(c *Context) *Report {
 			{"DLA+T1", core.Options{WithBOP: true, T1: true}},
 		} {
 			vals := perSuite(c, func(p *Prepared) float64 {
-				dla := c.RunCached("DLA", p, core.DLAOptions())
-				r := c.RunCached("f12"+cf.name, p, cf.opt)
+				dla := c.RunCached(p, core.DLAOptions())
+				r := c.RunCached(p, cf.opt)
 				if metric == "speedup" {
 					return r.IPC() / dla.IPC()
 				}
@@ -139,8 +139,8 @@ func Fig13a(c *Context) *Report {
 	summarizeSuites(t, "FB over BL", vals)
 	// Over DLA: BOQ-driven.
 	vals = perSuite(c, func(p *Prepared) float64 {
-		dla := c.RunCached("DLA", p, core.DLAOptions())
-		fb := c.RunCached("DLA+FB", p, core.Options{WithBOP: true, FetchBuffer: true})
+		dla := c.RunCached(p, core.DLAOptions())
+		fb := c.RunCached(p, core.Options{WithBOP: true, FetchBuffer: true})
 		return fb.IPC() / dla.IPC()
 	})
 	summarizeSuites(t, "FB over DLA", vals)
@@ -155,13 +155,13 @@ func Fig13b(c *Context) *Report {
 		Header: append([]string{"mode"}, suiteOrder...),
 	}
 	vals := perSuite(c, func(p *Prepared) float64 {
-		dla := c.RunCached("DLA", p, core.DLAOptions())
-		dyn := c.RunCached("DLA+RC", p, core.Options{WithBOP: true, Recycle: true})
+		dla := c.RunCached(p, core.DLAOptions())
+		dyn := c.RunCached(p, core.Options{WithBOP: true, Recycle: true})
 		return dyn.IPC() / dla.IPC()
 	})
 	summarizeSuites(t, "Dynamic", vals)
 	vals = perSuite(c, func(p *Prepared) float64 {
-		dla := c.RunCached("DLA", p, core.DLAOptions())
+		dla := c.RunCached(p, core.DLAOptions())
 		// Train the LCT on the training input, then run statically.
 		var lct map[int]int
 		c.Do(func() {
@@ -172,7 +172,7 @@ func Fig13b(c *Context) *Report {
 			trainSys.Run(c.Budget / 2)
 			lct = trainSys.LCTSnapshot()
 		})
-		st := c.RunDLA(p, core.Options{WithBOP: true, StaticLCT: lct})
+		st := c.RunCached(p, core.Options{WithBOP: true, StaticLCT: lct})
 		return st.IPC() / dla.IPC()
 	})
 	summarizeSuites(t, "Static", vals)
@@ -210,10 +210,10 @@ func Fig13c(c *Context) *Report {
 		per := make([]pair, len(names))
 		c.ParallelEach(len(names), func(i int) {
 			p := c.Prep(names[i])
-			dla := c.RunCached("DLA", p, core.DLAOptions())
-			r3 := c.RunCached("R3-DLA", p, core.R3Options())
-			alone := c.RunCached("alone-"+tech.key, p, tech.alone)
-			minus := c.RunCached("minus-"+tech.key, p, tech.disabled)
+			dla := c.RunCached(p, core.DLAOptions())
+			r3 := c.RunCached(p, core.R3Options())
+			alone := c.RunCached(p, tech.alone)
+			minus := c.RunCached(p, tech.disabled)
 			per[i] = pair{alone.IPC() / dla.IPC(), r3.IPC() / minus.IPC()}
 		})
 		var first, last []float64

@@ -87,7 +87,7 @@ func TestRunCachedSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = c.RunCached("BL", p, core.Options{Disable: true, WithBOP: true})
+			got[i] = c.RunCached(p, core.Options{Disable: true, WithBOP: true})
 		}(i)
 	}
 	wg.Wait()
@@ -98,6 +98,20 @@ func TestRunCachedSingleflight(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Fatalf("simulation ran %d times, want 1", runs)
+	}
+}
+
+// TestTable2AndFig10ShareRuns: Table II and Fig. 10 both measure DLA and
+// R3-DLA against BL+BOP on every workload. A run is named by its options,
+// so on one Context the two drivers share those three cells per workload
+// instead of simulating one set each.
+func TestTable2AndFig10ShareRuns(t *testing.T) {
+	c := NewContext(3_000)
+	if _, err := Run(context.Background(), c, []string{"tab2", "fig10"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := c.RunCount(), 3*len(SuiteNames("all")); n != want {
+		t.Fatalf("tab2 + fig10 simulated %d cells, want %d (BL+BOP, DLA and R3-DLA per workload)", n, want)
 	}
 }
 

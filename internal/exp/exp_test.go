@@ -25,8 +25,8 @@ func TestPrepMemoizes(t *testing.T) {
 func TestRunCachedMemoizes(t *testing.T) {
 	c := testCtx()
 	p := c.Prep("bzip")
-	r1 := c.RunCached("BL", p, core.Options{Disable: true, WithBOP: true})
-	r2 := c.RunCached("BL", p, core.Options{Disable: true, WithBOP: true})
+	r1 := c.RunCached(p, core.Options{Disable: true, WithBOP: true})
+	r2 := c.RunCached(p, core.Options{Disable: true, WithBOP: true})
 	if r1 != r2 {
 		t.Fatal("RunCached not memoized")
 	}

@@ -71,11 +71,11 @@ func Fig11(c *Context) *Report {
 
 		dlaOpt := core.DLAOptions()
 		dlaOpt.CoreCfg = &half
-		dla := c.RunDLA(p, dlaOpt)
+		dla := c.RunCached(p, dlaOpt)
 
 		r3Opt := core.R3Options()
 		r3Opt.CoreCfg = &half
-		r3 := c.RunDLA(p, r3Opt)
+		r3 := c.RunCached(p, r3Opt)
 
 		rows[i] = row{fcIPC / hcIPC, dla.IPC() / hcIPC, r3.IPC() / hcIPC, smt / hcIPC}
 	})

@@ -51,7 +51,7 @@ func eachWorkload(c *Context, f func(p *Prepared) float64) []float64 {
 func baselineIPC(c *Context) map[string]float64 {
 	names := SuiteNames("all")
 	ipcs := eachWorkload(c, func(p *Prepared) float64 {
-		return c.RunCached("BL", p, core.Options{Disable: true, WithBOP: true}).IPC()
+		return c.RunCached(p, core.Options{Disable: true, WithBOP: true}).IPC()
 	})
 	base := make(map[string]float64, len(names))
 	for i, name := range names {
@@ -93,7 +93,7 @@ func Fig9a(c *Context) *Report {
 	}
 	for _, cf := range cfgs {
 		vals := perSuite(c, func(p *Prepared) float64 {
-			return c.RunCached(cf.name, p, cf.opt).IPC() / base[p.W.Name]
+			return c.RunCached(p, cf.opt).IPC() / base[p.W.Name]
 		})
 		summarizeSuites(t, cf.name, vals)
 	}
@@ -123,8 +123,8 @@ func Fig9b(c *Context) *Report {
 			c.Do(func() { ipc = rival.RunCRE(p.Prog, p.Setup, p.Prof, c.Budget).IPC() })
 			return ipc
 		}},
-		{"DLA", func(p *Prepared) float64 { return c.RunCached("DLA", p, core.DLAOptions()).IPC() }},
-		{"R3-DLA", func(p *Prepared) float64 { return c.RunCached("R3-DLA", p, core.R3Options()).IPC() }},
+		{"DLA", func(p *Prepared) float64 { return c.RunCached(p, core.DLAOptions()).IPC() }},
+		{"R3-DLA", func(p *Prepared) float64 { return c.RunCached(p, core.R3Options()).IPC() }},
 	}
 	t := &stats.Table{
 		Title:  "Fig. 9-b: all-suite speedup over BL+BOP",
@@ -160,7 +160,7 @@ func Table2(c *Context) *Report {
 
 	c.ParallelEach(len(names), func(wi int) {
 		pr := c.Prep(names[wi])
-		bl := c.RunCached("BL", pr, core.Options{Disable: true, WithBOP: true})
+		bl := c.RunCached(pr, core.Options{Disable: true, WithBOP: true})
 		bAct := energy.ActivityOf(bl.MT)
 		bEn := coreEnergy(bl.MT, &bl.MTMem, bl.MT.Cycles, p)
 		out := make(map[string]contrib, 4)
@@ -179,7 +179,7 @@ func Table2(c *Context) *Report {
 			if cfgName == "R3" {
 				opt = core.R3Options()
 			}
-			r := c.RunCached(cfgName+"dla-r3", pr, opt)
+			r := c.RunCached(pr, opt)
 			mtEn := coreEnergy(r.MT, &r.MTMem, r.MT.Cycles, p)
 			ltEn := coreEnergy(r.LT, &r.LTMem, r.MT.Cycles, p)
 			out[cfgName+" MT"] = mk(energy.ActivityOf(r.MT), mtEn)
@@ -231,12 +231,12 @@ func Fig10(c *Context) *Report {
 		}
 		for _, cfgName := range []string{"DLA", "R3-DLA"} {
 			vals := perSuite(c, func(pr *Prepared) float64 {
-				bl := c.RunCached("BL", pr, core.Options{Disable: true, WithBOP: true})
+				bl := c.RunCached(pr, core.Options{Disable: true, WithBOP: true})
 				opt := core.DLAOptions()
 				if cfgName == "R3-DLA" {
 					opt = core.R3Options()
 				}
-				r := c.RunCached(cfgName+"dla-r3fig10", pr, opt)
+				r := c.RunCached(pr, opt)
 				rc, rd := RunEnergy(r, p)
 				bc, bd := RunEnergy(bl, p)
 				if part == "cpu" {

@@ -187,7 +187,7 @@ func Fig15(c *Context) *Report {
 	use := make([][]uint64, len(suite))
 	c.ParallelEach(len(suite), func(i int) {
 		p := c.Prep(suite[i].Name)
-		use[i] = c.RunCached("R3-DLA", p, core.R3Options()).SkeletonUse
+		use[i] = c.RunCached(p, core.R3Options()).SkeletonUse
 	})
 	for i, w := range suite {
 		var total uint64

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -54,7 +55,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/exp -run TestReportGolden -update`): %v", err)
+		t.Fatalf("missing golden file (run `go test ./internal/exp -update`): %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s drifted from golden file.\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
@@ -85,4 +86,28 @@ func TestReportGoldenCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "report.csv", buf.Bytes())
+}
+
+// TestExperimentsGolden pins the numbers every experiment prints: the
+// whole registry runs on one Context at budget 2,000, in registry order,
+// and the concatenated text reports must match
+// testdata/experiments@2000.txt byte for byte. The file holds exactly
+// what `r3dla -exp all -budget 2000 -q` prints. The drivers name their
+// runs by options alone, so the registry simulates each of its 450
+// distinct (workload, options) cells once: 18 configurations on each of
+// the 25 workloads.
+func TestExperimentsGolden(t *testing.T) {
+	c := NewContext(2_000)
+	ids := make([]string, len(Registry))
+	for i, e := range Registry {
+		ids[i] = e.ID
+	}
+	res, err := Run(context.Background(), c, ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "experiments@2000.txt", []byte(render(t, res)))
+	if n, want := c.RunCount(), 18*len(SuiteNames("all")); n != want {
+		t.Errorf("the registry simulated %d memoized cells, want %d", n, want)
+	}
 }

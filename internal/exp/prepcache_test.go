@@ -75,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Error("loaded Set.Prog not reattached to the eval program")
 	}
 	opt := core.Options{TrialInsts: 1500}
-	if w, g := cold.RunDLA(want, opt), warm.RunDLA(got, opt); !reflect.DeepEqual(g, w) {
+	if w, g := cold.RunCached(want, opt), warm.RunCached(got, opt); !reflect.DeepEqual(g, w) {
 		t.Errorf("simulation with cached artifacts diverges from original:\nwant MT=%+v\ngot  MT=%+v", w.MT, g.MT)
 	}
 }

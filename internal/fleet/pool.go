@@ -35,7 +35,6 @@ type Pool struct {
 	retries      int           // max attempts per request
 	hedge        time.Duration // 0 = no hedging
 	probeEvery   time.Duration
-	probeTimeout time.Duration
 	maxBackoff   time.Duration
 	jobs         chan struct{} // total-dispatch semaphore; nil = unlimited
 	brkThreshold int           // consecutive hard faults to open a member's breaker (0 = disabled)
@@ -94,15 +93,6 @@ func WithProbeEvery(d time.Duration) PoolOption {
 	}
 }
 
-// WithProbeTimeout caps each health probe (default 3s).
-func WithProbeTimeout(d time.Duration) PoolOption {
-	return func(p *Pool) {
-		if d > 0 {
-			p.probeTimeout = d
-		}
-	}
-}
-
 // WithJobs bounds how many requests the pool has in flight across all
 // members (<= 0 = unlimited, the default: each backend already bounds its
 // own compute, and admission control sheds the rest).
@@ -141,7 +131,6 @@ func NewPool(backends []Backend, opts ...PoolOption) (*Pool, error) {
 	p := &Pool{
 		retries:      3,
 		probeEvery:   5 * time.Second,
-		probeTimeout: 3 * time.Second,
 		brkThreshold: 5,
 		stop:         make(chan struct{}),
 	}
@@ -165,8 +154,6 @@ func NewPool(backends []Backend, opts ...PoolOption) (*Pool, error) {
 	go p.prober()
 	return p, nil
 }
-
-func (p *Pool) Name() string { return fmt.Sprintf("fleet(%d)", len(p.members)) }
 
 // Close stops the health prober and closes every member backend.
 func (p *Pool) Close() error {
@@ -550,25 +537,6 @@ func (p *Pool) pickFrom(excluded map[*member]bool, needHealthy bool) *member {
 
 // --------------------------------------------------------------- health
 
-// Check reports whether any member can take work.
-func (p *Pool) Check(ctx context.Context) error {
-	for _, m := range p.members {
-		if m.healthy.Load() {
-			return nil
-		}
-	}
-	var lastErr error
-	for _, m := range p.members {
-		if err := m.b.Check(ctx); err == nil {
-			p.revive(m)
-			return nil
-		} else {
-			lastErr = err
-		}
-	}
-	return fmt.Errorf("%w: last probe: %v", ErrNoBackends, lastErr)
-}
-
 // markDown demotes a member after a backend fault; the prober re-probes
 // it with backoff until it answers again.
 func (p *Pool) markDown(m *member, err error) {
@@ -592,6 +560,9 @@ func (p *Pool) revive(m *member) {
 	m.healthy.Store(true)
 }
 
+// probeTimeout caps each health or load probe.
+const probeTimeout = 3 * time.Second
+
 // prober periodically re-probes dead members (with per-member exponential
 // backoff) and refreshes healthy members' server-reported load.
 func (p *Pool) prober() {
@@ -613,7 +584,7 @@ func (p *Pool) probeAll() {
 	for _, m := range p.members {
 		if m.healthy.Load() {
 			if lr, ok := m.b.(loadReporter); ok {
-				ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 				if st, err := lr.Stats(ctx); err == nil {
 					m.load.Store(st.Inflight)
 				} else {
@@ -632,7 +603,7 @@ func (p *Pool) probeAll() {
 		if !due {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		err := m.b.Check(ctx)
 		cancel()
 		if err == nil {

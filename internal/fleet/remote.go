@@ -10,15 +10,13 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"r3dla/internal/faultinject"
 	"r3dla/internal/lab"
-	"r3dla/internal/sweep"
 )
 
 // Remote is the HTTP Backend: it speaks r3dlad's wire format — JSON
-// requests, NDJSON streaming responses for runs and sweeps — and maps
+// requests, NDJSON streaming responses for runs — and maps
 // HTTP statuses back onto the lab's typed errors, so a caller cannot tell
 // a remote validation failure from a local one. Runs always use
 // ?stream=1: progress lines keep the connection demonstrably alive during
@@ -28,8 +26,7 @@ type Remote struct {
 	name     string
 	base     string // http://host:port, no trailing slash
 	hc       *http.Client
-	owned    *http.Transport // the transport this Remote built (nil if the client was borrowed)
-	timeout  time.Duration   // per-request cap; 0 = none (simulations can be long)
+	tr       *http.Transport // the Remote's own bounded transport, under any fault wrap
 	priority string          // admission class sent with every request ("" = server default)
 	faults   *faultinject.Plane
 }
@@ -37,25 +34,11 @@ type Remote struct {
 // RemoteOption configures a Remote.
 type RemoteOption func(*Remote)
 
-// WithHTTPClient substitutes the HTTP client (tests, custom transports).
-// The Remote borrows it: Close will not tear down its connections.
-func WithHTTPClient(hc *http.Client) RemoteOption {
-	return func(r *Remote) { r.hc, r.owned = hc, nil }
-}
-
 // WithFaults threads a fault-injection plane into the Remote's transport
 // (chaos testing only): connect errors, latency spikes and mid-stream
-// body cuts, all seed-deterministic. The wrap clones the client struct,
-// so a shared client is never mutated.
+// body cuts, all seed-deterministic.
 func WithFaults(p *faultinject.Plane) RemoteOption {
 	return func(r *Remote) { r.faults = p }
-}
-
-// WithRequestTimeout caps each request's total duration; on expiry the
-// request fails with ErrUnavailable so the pool retries it elsewhere
-// (0 = no cap — simulation requests are legitimately slow).
-func WithRequestTimeout(d time.Duration) RemoteOption {
-	return func(r *Remote) { r.timeout = d }
 }
 
 // WithPriority stamps every request with an admission class
@@ -78,48 +61,30 @@ func NewRemote(addr string, opts ...RemoteOption) (*Remote, error) {
 	if err != nil || u.Host == "" {
 		return nil, fmt.Errorf("%w: backend address %q", lab.ErrInvalid, addr)
 	}
-	tr := newTransport()
-	r := &Remote{name: addr, base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr}, owned: tr}
+	r := &Remote{name: addr, base: strings.TrimRight(base, "/"), tr: newTransport()}
 	for _, o := range opts {
 		o(r)
 	}
+	var rt http.RoundTripper = r.tr
 	if r.faults != nil {
-		// Clone the client so a borrowed one is never mutated; the fault
-		// wrapper sits in front of whatever transport the client uses.
-		base := r.hc.Transport
-		if base == nil {
-			base = http.DefaultTransport
-		}
-		hc := *r.hc
-		hc.Transport = &faultTransport{base: base, plane: r.faults}
-		r.hc = &hc
+		rt = &faultTransport{base: r.tr, plane: r.faults}
 	}
+	r.hc = &http.Client{Transport: rt}
 	return r, nil
 }
 
 func (r *Remote) Name() string { return r.name }
 
-// Close releases the Remote's own transport's idle connections; a client
-// supplied via WithHTTPClient is borrowed and left untouched.
+// Close releases the Remote's idle connections.
 func (r *Remote) Close() error {
-	if r.owned != nil {
-		r.owned.CloseIdleConnections()
-	}
+	r.tr.CloseIdleConnections()
 	return nil
-}
-
-// reqCtx applies the per-request timeout on top of the caller's context.
-func (r *Remote) reqCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if r.timeout > 0 {
-		return context.WithTimeout(ctx, r.timeout)
-	}
-	return context.WithCancel(ctx)
 }
 
 // wrapNetErr classifies a transport-level failure: the caller's own
 // cancellation passes through untouched (retrying elsewhere would fail
-// identically), everything else — refused connections, dropped streams,
-// the per-request timeout — is a retryable ErrUnavailable.
+// identically), everything else — refused connections, dropped streams —
+// is a retryable ErrUnavailable.
 func (r *Remote) wrapNetErr(ctx context.Context, err error) error {
 	if ctx.Err() != nil {
 		return ctx.Err()
@@ -185,11 +150,10 @@ type streamLine struct {
 }
 
 // readStream consumes an NDJSON response until its terminal line and
-// decodes the terminal payload into out. Non-terminal lines (progress,
-// sweep cells) are passed raw to onLine when it is non-nil, otherwise
-// drained. A stream that ends without a terminal line means the backend
-// died mid-request, which is retryable.
-func (r *Remote) readStream(ctx context.Context, body io.Reader, out any, onLine func(raw []byte) error) error {
+// decodes the terminal payload into out, draining the progress lines
+// before it. A stream that ends without a terminal line means the
+// backend died mid-request, which is retryable.
+func (r *Remote) readStream(ctx context.Context, body io.Reader, out any) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 1<<20), 16<<20)
 	for sc.Scan() {
@@ -218,12 +182,6 @@ func (r *Remote) readStream(ctx context.Context, body io.Reader, out any, onLine
 			// faults from the client's perspective (validation errors were
 			// rejected before the stream committed to 200).
 			return fmt.Errorf("%w: %s: %s", ErrBackend, r.name, line.Error)
-		default:
-			if onLine != nil {
-				if err := onLine(sc.Bytes()); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -235,9 +193,7 @@ func (r *Remote) readStream(ctx context.Context, body io.Reader, out any, onLine
 // Run executes one simulation on the backend through POST
 // /v1/runs?stream=1 and returns the terminal result.
 func (r *Remote) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
-	rctx, cancel := r.reqCtx(ctx)
-	defer cancel()
-	resp, err := r.postJSON(rctx, "/v1/runs?stream=1", req)
+	resp, err := r.postJSON(ctx, "/v1/runs?stream=1", req)
 	if err != nil {
 		return nil, r.wrapNetErr(ctx, err)
 	}
@@ -246,7 +202,7 @@ func (r *Remote) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, e
 		return nil, r.statusErr(resp, lab.ErrUnknownWorkload)
 	}
 	var res lab.RunResult
-	if err := r.readStream(ctx, resp.Body, &res, nil); err != nil {
+	if err := r.readStream(ctx, resp.Body, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -257,9 +213,7 @@ func (r *Remote) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, e
 // identical Report — text/JSON/CSV output from a remote report is
 // byte-identical to a local run at the same budget.
 func (r *Remote) Experiment(ctx context.Context, id string) (*lab.Report, error) {
-	rctx, cancel := r.reqCtx(ctx)
-	defer cancel()
-	resp, err := r.postJSON(rctx, "/v1/experiments/"+url.PathEscape(id), nil)
+	resp, err := r.postJSON(ctx, "/v1/experiments/"+url.PathEscape(id), nil)
 	if err != nil {
 		return nil, r.wrapNetErr(ctx, err)
 	}
@@ -270,42 +224,6 @@ func (r *Remote) Experiment(ctx context.Context, id string) (*lab.Report, error)
 	var rep lab.Report
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		return nil, r.wrapNetErr(ctx, err)
-	}
-	return &rep, nil
-}
-
-// Sweep executes a whole sweep on this backend through POST /v1/sweeps,
-// forwarding each NDJSON cell line to onCell (may be nil) and returning
-// the terminal aggregate report. The pool routes sweeps cell-by-cell for
-// balancing and retry; Sweep is the coarse-grained alternative when one
-// backend should own the entire grid (the CI probe drives it).
-func (r *Remote) Sweep(ctx context.Context, spec sweep.Spec, onCell func(sweep.StreamLine)) (*lab.Report, error) {
-	rctx, cancel := r.reqCtx(ctx)
-	defer cancel()
-	resp, err := r.postJSON(rctx, "/v1/sweeps", spec)
-	if err != nil {
-		return nil, r.wrapNetErr(ctx, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, r.statusErr(resp, lab.ErrUnknownWorkload)
-	}
-	var rep lab.Report
-	err = r.readStream(ctx, resp.Body, &rep, func(raw []byte) error {
-		if onCell == nil {
-			return nil
-		}
-		var line sweep.StreamLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return fmt.Errorf("%w: %s: malformed cell line: %v", ErrBackend, r.name, err)
-		}
-		if line.Event == "cell" {
-			onCell(line)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &rep, nil
 }
@@ -335,9 +253,7 @@ func (r *Remote) Check(ctx context.Context) error {
 }
 
 func (r *Remote) getJSON(ctx context.Context, path string, out any) error {
-	rctx, cancel := r.reqCtx(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, r.base+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+path, nil)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBackend, r.name, err)
 	}

@@ -129,8 +129,9 @@ func TestRemoteRunStreamTruncated(t *testing.T) {
 	}
 }
 
-// TestRemoteRequestTimeout: the per-request cap fires as a retryable
-// fault; the caller's own cancellation does not.
+// TestRemoteRequestTimeout: a request lasts as long as its caller's
+// context, and the caller's own cancellation surfaces as itself, not as
+// a retryable fault (retrying elsewhere would fail identically).
 func TestRemoteRequestTimeout(t *testing.T) {
 	blocked := make(chan struct{})
 	h := func(w http.ResponseWriter, req *http.Request) {
@@ -139,12 +140,7 @@ func TestRemoteRequestTimeout(t *testing.T) {
 		case <-req.Context().Done():
 		}
 	}
-	r := fakeServer(t, h, WithRequestTimeout(20*time.Millisecond))
 	defer close(blocked)
-	if _, err := r.Run(context.Background(), testReq(100)); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("timeout: got %v, want ErrUnavailable", err)
-	}
-
 	slow := fakeServer(t, h)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -31,7 +31,7 @@ func newTransport() *http.Transport {
 		IdleConnTimeout:     90 * time.Second,
 		// Generous on purpose: non-streaming endpoints (experiments) do
 		// their full simulation before the header. This bounds a *dead*
-		// backend, not a slow one; WithRequestTimeout bounds totals.
+		// backend, not a slow one; the caller's context bounds totals.
 		ResponseHeaderTimeout: 5 * time.Minute,
 		ExpectContinueTimeout: 1 * time.Second,
 	}

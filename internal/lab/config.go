@@ -11,10 +11,10 @@ package lab
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"r3dla/internal/core"
+	"r3dla/internal/exp"
 	"r3dla/internal/pipeline"
 )
 
@@ -145,49 +145,17 @@ func (c Config) Preset() string { return c.preset }
 // struct. This is the only path from the public API to core.Options.
 func (c Config) SystemOptions() core.Options { return c.opt }
 
-// Key returns the canonical memoization key of the configuration: equal
-// keys mean identical simulation semantics, so the Lab's result cache
-// can share runs across requests.
-func (c Config) Key() string {
-	o := c.opt
-	var b strings.Builder
-	fmt.Fprintf(&b, "t1=%t,vr=%t,fb=%t,rc=%t,bop=%t,stride=%t,po=%t,dis=%t",
-		o.T1, o.ValueReuse, o.FetchBuffer, o.Recycle, o.WithBOP, o.WithStride, o.PrefetchOnly, o.Disable)
-	fmt.Fprintf(&b, ",boq=%d,fq=%d,vq=%d,reboot=%d,trial=%d",
-		o.BOQSize, o.FQSize, o.VQSize, o.RebootCost, o.TrialInsts)
-	if o.HasFixedVersion {
-		fmt.Fprintf(&b, ",v=%d", o.FixedVersion)
-	}
-	if o.StaticLCT != nil {
-		loops := make([]int, 0, len(o.StaticLCT))
-		for l := range o.StaticLCT {
-			loops = append(loops, l)
-		}
-		sort.Ints(loops)
-		b.WriteString(",lct=")
-		for i, l := range loops {
-			if i > 0 {
-				b.WriteByte('|')
-			}
-			fmt.Fprintf(&b, "%d:%d", l, o.StaticLCT[l])
-		}
-	}
-	if o.CoreCfg != nil {
-		fmt.Fprintf(&b, ",core={%+v}", *o.CoreCfg)
-	}
-	if o.LTCfg != nil {
-		fmt.Fprintf(&b, ",ltcore={%+v}", *o.LTCfg)
-	}
-	return b.String()
-}
+// Key returns the configuration's canonical key (core.Options.Key):
+// equal keys mean identical simulation semantics, so the Lab's result
+// cache can share runs across requests.
+func (c Config) Key() string { return c.opt.Key() }
 
-// RunKey renders the canonical identity of one simulation request:
-// workload, resolved configuration key, and budget. Equal keys mean
-// identical simulation semantics — the Lab's result cache, the fleet
-// pool's client-side cache, and the sweep/dse checkpoint journals all
-// match on this one string.
+// RunKey renders the canonical identity of one simulation request
+// (exp.RunKey): the Lab's run memo and result store, the fleet pool's
+// client-side cache, and the sweep/dse checkpoint journals all match on
+// this one string.
 func RunKey(workload string, cfg Config, budget uint64) string {
-	return fmt.Sprintf("%s|%s@%d", workload, cfg.Key(), budget)
+	return exp.RunKey(workload, cfg.opt, budget)
 }
 
 // ------------------------------------------------------- feature options

@@ -327,7 +327,7 @@ func (l *Lab) runPrepared(ctx context.Context, p *Prepared, cfg Config, budget u
 	}
 	var res *core.Results
 	err := l.guarded(ctx, func(c *exp.Context) {
-		res = c.RunShared(cfg.Key(), p, cfg.SystemOptions(), budget, joined, fresh)
+		res = c.RunShared(p, cfg.SystemOptions(), budget, joined, fresh)
 	})
 	if err != nil {
 		return nil, err

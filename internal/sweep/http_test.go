@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -38,8 +39,9 @@ func postSweep(t *testing.T, url, body string) *http.Response {
 }
 
 func TestSweepEndpointStreams(t *testing.T) {
+	const body = `{"workloads":["mcf"],"budget":2000,"axes":{"preset":["dla","r3"]}}`
 	srv, l := newTestServer(t)
-	resp := postSweep(t, srv.URL, `{"workloads":["mcf"],"budget":2000,"axes":{"preset":["dla","r3"]}}`)
+	resp := postSweep(t, srv.URL, body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -82,6 +84,26 @@ func TestSweepEndpointStreams(t *testing.T) {
 	}
 	if l.RunCount() != 2 {
 		t.Fatalf("executed %d simulations, want 2", l.RunCount())
+	}
+
+	// The streamed report is the local engine's rendering, byte for byte.
+	var spec Spec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), l, spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := last.Result.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Report().WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("streamed report differs from the local rendering:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
 	}
 }
 
