@@ -559,7 +559,6 @@ func Soak(ctx context.Context, cfg Config) (*Report, error) {
 		fleet.WithJobs(8),
 		fleet.WithRetries(8),
 		fleet.WithProbeEvery(25*time.Millisecond),
-		fleet.WithBreaker(3, 150*time.Millisecond),
 	)
 	if err != nil {
 		return nil, err

@@ -3,14 +3,21 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the soak golden under testdata/")
+
 // TestSoakPassesAndReplays is the harness's own soak: one full chaos run
 // must hold every invariant, and a second run with the same seed must
 // render byte-identical report output — the replayability contract the
-// CI smoke compares across processes.
+// CI smoke compares across processes. The report must also match the
+// committed testdata/soak@seed7.txt, which `r3dla chaos -seed 7 -q`
+// prints and -update re-records.
 func TestSoakPassesAndReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full soak in -short mode")
@@ -38,6 +45,20 @@ func TestSoakPassesAndReplays(t *testing.T) {
 	}
 	if !strings.Contains(string(first), "result: PASS") {
 		t.Fatalf("report missing verdict:\n%s", first)
+	}
+	golden := filepath.Join("testdata", "soak@seed7.txt")
+	if *update {
+		if err := os.WriteFile(golden, first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./internal/chaos -update`): %v", err)
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatalf("seed-7 report drifted from %s:\n--- want ---\n%s--- got ---\n%s", golden, want, first)
 	}
 }
 

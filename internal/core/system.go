@@ -21,7 +21,7 @@ import (
 type Options struct {
 	T1          bool        // reduce: offload strided prefetch to the T1 FSM
 	ValueReuse  bool        // reuse: SIF-filtered value predictions through the VQ
-	FetchBuffer bool        // reuse: 32-entry MT fetch buffer driven by the BOQ
+	FetchBuffer bool        // reuse: FetchBufferSize-entry MT fetch buffer driven by the BOQ
 	Recycle     bool        // recycle: online skeleton cycling
 	StaticLCT   map[int]int // preloaded loop->version table (offline tuning)
 
@@ -36,10 +36,10 @@ type Options struct {
 	FixedVersion    int
 	HasFixedVersion bool
 
-	BOQSize    int    // default 512
-	FQSize     int    // default 128 (prefetch + indirect hints)
-	VQSize     int    // default 32 (value payloads)
-	RebootCost uint64 // default 64 cycles
+	BOQSize    int    // default DefaultBOQSize
+	FQSize     int    // default DefaultFQSize (prefetch + indirect hints)
+	VQSize     int    // default DefaultVQSize (value payloads)
+	RebootCost uint64 // default DefaultRebootCost cycles
 	TrialInsts uint64 // recycle measurement window (default 4000)
 
 	CoreCfg *pipeline.Config // MT core; nil = Table I default
@@ -56,18 +56,28 @@ type Options struct {
 	Disable bool
 }
 
+// The DLA sizings of Table I. A zero size in Options means its default;
+// the estimator tiers and Table I read the same constants.
+const (
+	DefaultBOQSize    = 512
+	DefaultFQSize     = 128
+	DefaultVQSize     = 32
+	DefaultRebootCost = 64 // cycles
+	FetchBufferSize   = 32 // MT fetch-buffer entries when FetchBuffer is on
+)
+
 func (o *Options) fill() {
 	if o.BOQSize == 0 {
-		o.BOQSize = 512
+		o.BOQSize = DefaultBOQSize
 	}
 	if o.FQSize == 0 {
-		o.FQSize = 128
+		o.FQSize = DefaultFQSize
 	}
 	if o.VQSize == 0 {
-		o.VQSize = 32
+		o.VQSize = DefaultVQSize
 	}
 	if o.RebootCost == 0 {
-		o.RebootCost = 64
+		o.RebootCost = DefaultRebootCost
 	}
 }
 
@@ -230,7 +240,7 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 	}
 	mtCfg := cfg
 	if opt.FetchBuffer {
-		mtCfg.FetchBufSize = 32
+		mtCfg.FetchBufSize = FetchBufferSize
 	}
 	if opt.ValueReuse {
 		mtCfg.SkipValidation = true

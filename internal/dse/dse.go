@@ -6,11 +6,11 @@
 // IPC across rising budgets, Pareto-frontier search over IPC vs energy —
 // that submit deterministic batches through the existing sweep.Runner
 // interface. Because evaluation happens on that boundary, everything the
-// sweep engine already provides composes for free: the Lab's (or fleet
-// pool's) singleflight result cache, the NDJSON checkpoint journal with
-// crash-safe resume, and the byte-identity contract — a fixed seed
-// yields byte-identical output at any -jobs count, local or distributed,
-// interrupted or not. The search loop is separated from the evaluation
+// sweep engine already provides composes for free: the Lab's (or the
+// fleet backends') singleflight result cache, the NDJSON checkpoint
+// journal with crash-safe resume, and the byte-identity contract — a
+// fixed seed yields byte-identical output at any -jobs count, local or
+// distributed, interrupted or not. The search loop is separated from the evaluation
 // workers in the RESIDSE style: samplers and searchers never touch a
 // simulator, they only pick cell indices and rank deterministic results.
 package dse

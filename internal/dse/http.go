@@ -14,10 +14,10 @@ import (
 // exploration Spec (JSON), the response an NDJSON stream of completed
 // cells followed by the exploration report. Validation failures are
 // proper 400s before the stream commits to 200, and its lines are
-// sweep.StreamLines. Explorations are admitted through g exactly like
+// sweep.StreamLines. Explorations are admitted through srv exactly like
 // runs and sweeps; the server journals nothing — cross-request reuse
 // comes from the Lab's memo instead.
-func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
+func NewHandler(l *lab.Lab, srv *lab.Server) http.Handler {
 	tiers := &sweep.TierRunners{Lab: l}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -42,7 +42,7 @@ func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
 			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := sweep.CheckBudget(g, spec.Space.Budget); err != nil {
+		if err := sweep.CheckBudget(srv, spec.Space.Budget); err != nil {
 			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -69,7 +69,7 @@ func NewHandler(l *lab.Lab, g sweep.Gate) http.Handler {
 			topts = &Tiers{Analytic: analytic, MC: mc}
 		}
 
-		sweep.ServeCells(w, r, g, func(progress func(sweep.Event)) (*exp.Report, error) {
+		sweep.ServeCells(w, r, srv, func(progress func(sweep.Event)) (*exp.Report, error) {
 			res, err := Explore(r.Context(), runner, spec, Options{Progress: progress, Tiers: topts})
 			if err != nil {
 				return nil, err

@@ -221,6 +221,7 @@ func Table1(c *Context) *Report {
 	t.AddRow("Predictor", fmt.Sprintf("TAGE-lite + %d-entry BTB + %d-entry RAS", 1<<cfg.BTBBits, cfg.RASEntries))
 	t.AddRow("Caches", "L1: 32KB I + 32KB D, 4-way, 64B, 3 cyc; L2: 256KB 8-way 9 cyc (+BOP); L3: 2MB 16-way 36 cyc")
 	t.AddRow("DRAM", "DDR3-1600-like, 2 channels, 16 banks/chan, open row")
-	t.AddRow("DLA", "BOQ 512, FQ 128, VPT 32, T1 16 entries, LCT 16 entries, reboot 64 cyc")
+	t.AddRow("DLA", fmt.Sprintf("BOQ %d, FQ %d, VPT %d, T1 16 entries, LCT 16 entries, reboot %d cyc",
+		core.DefaultBOQSize, core.DefaultFQSize, core.DefaultVQSize, core.DefaultRebootCost))
 	return NewReport(t)
 }

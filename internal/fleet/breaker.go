@@ -5,26 +5,21 @@ import (
 	"time"
 )
 
-// breaker is a per-member circuit breaker, the layer of protection the
-// health prober cannot provide: the prober asks "does /v1/healthz
-// answer?", the breaker asks "do real requests keep failing?". A member
-// whose healthz revives but whose runs still die would otherwise flap —
-// revived by the prober, demoted by the next dispatch, forever. The
-// breaker remembers consecutive hard faults across that cycle and keeps
-// the member out of rotation until a half-open probe request proves it.
+// breaker is a member's one health state. Real requests are its probes:
+// a member whose /v1/healthz answers while its runs keep dying stays out
+// of rotation, because only an answered request closes the breaker.
 //
-// States: closed (normal) → open after threshold consecutive hard
-// faults; open → half-open when the cooldown expires; half-open admits
-// one trial request (only while the member is idle) — success closes the
-// breaker, failure reopens it with the cooldown doubled (capped).
+// States: closed (normal) → open on a hard fault, for a cooldown; open →
+// half-open when the cooldown expires; half-open admits one trial
+// request (only while the member is idle). Any answer closes the
+// breaker, a 503 shed included, since an overloaded member is alive; a
+// failed trial reopens it with the cooldown doubled, capped at 8× the
+// first.
 type breaker struct {
-	threshold int           // consecutive hard faults to open
-	base      time.Duration // first cooldown
-	max       time.Duration // cooldown cap
+	base time.Duration // first cooldown; the cap is 8× this
 
 	mu        sync.Mutex
 	state     brkState
-	consec    int           // consecutive hard faults while closed
 	cooldown  time.Duration // current open duration
 	openUntil time.Time
 }
@@ -48,16 +43,9 @@ func (s brkState) String() string {
 	}
 }
 
-// newBreaker builds a breaker; threshold <= 0 disables breaking entirely
-// (returns nil — every method is nil-safe and permissive).
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		return nil
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	return &breaker{threshold: threshold, base: cooldown, max: 8 * cooldown}
+// newBreaker builds a closed breaker whose first cooldown is cooldown.
+func newBreaker(cooldown time.Duration) *breaker {
+	return &breaker{base: cooldown}
 }
 
 // blocked reports whether the member must be skipped right now. An open
@@ -66,9 +54,6 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 // (inflight == 0), so exactly one class of trial traffic probes it
 // instead of a thundering herd.
 func (b *breaker) blocked(now time.Time, inflight int64) bool {
-	if b == nil {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -83,56 +68,36 @@ func (b *breaker) blocked(now time.Time, inflight int64) bool {
 	return inflight > 0
 }
 
-// success records a request the member answered (including 503 sheds —
-// an overloaded member is alive): the breaker closes and the failure
-// streak and cooldown reset.
+// success records a request the member answered: the breaker closes.
 func (b *breaker) success() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.state = brkClosed
-	b.consec = 0
-	b.cooldown = 0
 	b.mu.Unlock()
 }
 
-// failure records a hard fault (the same class that marks a member
-// down). While closed it counts toward the threshold; a half-open trial
-// failure reopens immediately with the cooldown doubled.
+// failure records a hard fault. A closed breaker opens for the first
+// cooldown; a failed half-open trial reopens it with the cooldown
+// doubled.
 func (b *breaker) failure(now time.Time) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case brkHalfOpen:
-		b.cooldown *= 2
-		if b.cooldown > b.max {
-			b.cooldown = b.max
-		}
-		b.state = brkOpen
-		b.openUntil = now.Add(b.cooldown)
 	case brkClosed:
-		b.consec++
-		if b.consec >= b.threshold {
-			b.state = brkOpen
-			b.cooldown = b.base
-			b.openUntil = now.Add(b.cooldown)
-		}
+		b.cooldown = b.base
+	case brkHalfOpen:
+		b.cooldown = min(2*b.cooldown, 8*b.base)
 	case brkOpen:
 		// A straggling in-flight request failed after the breaker already
 		// opened; the open window stands.
+		return
 	}
+	b.state = brkOpen
+	b.openUntil = now.Add(b.cooldown)
 }
 
-// status renders the current state for MemberStatus.
-func (b *breaker) status() string {
-	if b == nil {
-		return "disabled"
-	}
+// current reports the breaker's state.
+func (b *breaker) current() brkState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state.String()
+	return b.state
 }

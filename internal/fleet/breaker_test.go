@@ -12,23 +12,18 @@ import (
 )
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(3, 100*time.Millisecond)
+	b := newBreaker(100 * time.Millisecond)
 	now := time.Now()
 
 	if b.blocked(now, 0) {
 		t.Fatal("fresh breaker blocked")
 	}
-	b.failure(now)
-	b.failure(now)
-	if b.blocked(now, 0) {
-		t.Fatal("blocked below the threshold")
-	}
-	b.failure(now) // third consecutive: open
+	b.failure(now) // one hard fault opens it
 	if !b.blocked(now, 0) {
-		t.Fatal("breaker did not open at the threshold")
+		t.Fatal("breaker did not open on a hard fault")
 	}
-	if got := b.status(); got != "open" {
-		t.Fatalf("status %q, want open", got)
+	if got := b.current(); got != brkOpen {
+		t.Fatalf("state %v, want open", got)
 	}
 	// Still inside the cooldown.
 	if !b.blocked(now.Add(50*time.Millisecond), 0) {
@@ -39,8 +34,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.blocked(later, 0) {
 		t.Fatal("expired breaker refused the half-open trial")
 	}
-	if got := b.status(); got != "half-open" {
-		t.Fatalf("status %q, want half-open", got)
+	if got := b.current(); got != brkHalfOpen {
+		t.Fatalf("state %v, want half-open", got)
 	}
 	// ...but not while the member is busy with the trial.
 	if !b.blocked(later, 1) {
@@ -54,20 +49,24 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.blocked(later.Add(250*time.Millisecond), 0) {
 		t.Fatal("doubled cooldown never expired")
 	}
-	// Trial success closes and resets everything.
+	// Trial success closes the breaker...
 	b.success()
-	if b.blocked(time.Now(), 5) || b.status() != "closed" {
+	if b.blocked(time.Now(), 5) || b.current() != brkClosed {
 		t.Fatal("success did not close the breaker")
 	}
-	// A fresh streak must need the full threshold again.
+	// ...and resets the cooldown: the next fault opens it for the first
+	// cooldown again, not the doubled one.
 	b.failure(now)
-	if b.blocked(now, 0) {
-		t.Fatal("closed breaker reopened below the threshold after reset")
+	if !b.blocked(now.Add(50*time.Millisecond), 0) {
+		t.Fatal("closed breaker did not reopen on a fault after the reset")
+	}
+	if b.blocked(now.Add(150*time.Millisecond), 0) {
+		t.Fatal("success did not reset the cooldown to the first one")
 	}
 }
 
 func TestBreakerCooldownCap(t *testing.T) {
-	b := newBreaker(1, 100*time.Millisecond)
+	b := newBreaker(100 * time.Millisecond)
 	now := time.Now()
 	b.failure(now) // open at base
 	for i := 0; i < 10; i++ {
@@ -77,75 +76,52 @@ func TestBreakerCooldownCap(t *testing.T) {
 		}
 		b.failure(now) // half-open trial fails, cooldown doubles
 	}
-	// Cap is 8x base: 800ms later the breaker must be probe-able again.
+	// Cap is 8x base: the breaker holds up to 800ms and is probe-able
+	// after.
+	if !b.blocked(now.Add(799*time.Millisecond), 0) {
+		t.Fatal("cooldown capped below 8x")
+	}
 	if b.blocked(now.Add(801*time.Millisecond), 0) {
 		t.Fatal("cooldown exceeded its 8x cap")
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(0, time.Second)
-	if b != nil {
-		t.Fatal("threshold 0 should disable the breaker")
-	}
-	// All methods are nil-safe and permissive.
-	b.failure(time.Now())
-	b.success()
-	if b.blocked(time.Now(), 99) {
-		t.Fatal("nil breaker blocked")
-	}
-	if b.status() != "disabled" {
-		t.Fatalf("nil breaker status %q", b.status())
-	}
-}
-
-// TestPoolBreakerOpensAndRoutesAround: after threshold consecutive hard
-// faults the failing member leaves rotation even though its healthz still
-// answers — the exact flapping case the prober alone cannot fix — and
-// traffic continues on the survivor.
+// TestPoolBreakerOpensAndRoutesAround: one hard fault opens the failing
+// member's breaker, and traffic continues on the survivor without
+// reaching the broken member while the cooldown lasts.
 func TestPoolBreakerOpensAndRoutesAround(t *testing.T) {
 	var sickCalls atomic.Int64
 	sick := &fakeBackend{name: "sick", run: func(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
 		sickCalls.Add(1)
 		return nil, fmt.Errorf("%w: runs broken", ErrBackend)
 	}}
-	// healthz answers fine: the prober would revive this member forever.
-	sick.check = func(ctx context.Context) error { return nil }
 	well := &fakeBackend{name: "well", run: okRun("well")}
 
 	p := newTestPool(t, []Backend{sick, well},
 		WithRetries(4),
-		WithProbeEvery(10*time.Millisecond), // prober aggressively revives
-		WithBreaker(2, time.Hour),           // once open, stays open for the test
+		WithProbeEvery(time.Hour), // once open, stays open for the test
 	)
 
-	// Drive requests until the sick member has eaten 2 hard faults. Each
-	// distinct budget is a fresh key; retries land on the survivor so
-	// every request still succeeds. The first fault marks the member down,
-	// so wait out a prober cycle between requests — each healthz revival
-	// sets up the next fault, exactly the flapping under test.
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; sickCalls.Load() < 2 && time.Now().Before(deadline); i++ {
+	// Drive requests until the sick member has eaten a hard fault. Each
+	// distinct budget is a fresh key; the retry lands on the survivor so
+	// every request still succeeds.
+	for i := 0; sickCalls.Load() == 0 && i < 20; i++ {
 		if _, err := p.Run(context.Background(), testReq(uint64(1000+i))); err != nil {
 			t.Fatalf("request %d failed despite a healthy survivor: %v", i, err)
 		}
-		time.Sleep(15 * time.Millisecond)
 	}
-	if sickCalls.Load() < 2 {
-		t.Fatalf("sick member saw only %d calls; cannot open the breaker", sickCalls.Load())
+	if got := sickCalls.Load(); got != 1 {
+		t.Fatalf("sick member saw %d calls, want the 1 that opens its breaker", got)
 	}
 
-	// Give the prober time to "revive" the sick member via healthz...
-	time.Sleep(50 * time.Millisecond)
-	before := sickCalls.Load()
-	// ...then send more traffic: the open breaker must keep it drained.
+	// More traffic: the open breaker must keep the sick member drained.
 	for i := 0; i < 10; i++ {
 		if _, err := p.Run(context.Background(), testReq(uint64(2000+i))); err != nil {
 			t.Fatalf("request with open breaker failed: %v", err)
 		}
 	}
-	if got := sickCalls.Load(); got != before {
-		t.Fatalf("open breaker leaked %d calls to the broken member", got-before)
+	if got := sickCalls.Load(); got != 1 {
+		t.Fatalf("open breaker leaked %d calls to the broken member", got-1)
 	}
 	for _, st := range p.Status() {
 		if st.Name == "sick" && st.Breaker != "open" {
@@ -174,11 +150,10 @@ func TestPoolBreakerHalfOpenRecovery(t *testing.T) {
 	other := &fakeBackend{name: "other", run: okRun("other")}
 	p := newTestPool(t, []Backend{flaky, other},
 		WithRetries(4),
-		WithProbeEvery(10*time.Millisecond),
-		WithBreaker(1, 30*time.Millisecond),
+		WithProbeEvery(30*time.Millisecond),
 	)
 
-	// One hard fault opens the breaker (threshold 1).
+	// One hard fault opens the breaker.
 	for i := 0; calls.Load() == 0 && i < 20; i++ {
 		if _, err := p.Run(context.Background(), testReq(uint64(3000+i))); err != nil {
 			t.Fatal(err)
@@ -220,7 +195,7 @@ func TestPoolBreakerIgnores503(t *testing.T) {
 		return nil, fmt.Errorf("%w: full", ErrOverloaded)
 	}}
 	worker := &fakeBackend{name: "worker", run: okRun("worker")}
-	p := newTestPool(t, []Backend{shedder, worker}, WithBreaker(1, time.Hour))
+	p := newTestPool(t, []Backend{shedder, worker}, WithProbeEvery(time.Hour))
 
 	for i := 0; i < 10; i++ {
 		if _, err := p.Run(context.Background(), testReq(uint64(5000+i))); err != nil {
@@ -244,7 +219,7 @@ func TestPoolBreakerFallbackWhenAllOpen(t *testing.T) {
 		}}
 	}
 	p := newTestPool(t, []Backend{mkBroken("a"), mkBroken("b")},
-		WithRetries(2), WithBreaker(1, time.Hour))
+		WithRetries(2), WithProbeEvery(time.Hour))
 
 	// First request trips both breakers (one per retry attempt).
 	if _, err := p.Run(context.Background(), testReq(6000)); err == nil {

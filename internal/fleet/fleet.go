@@ -1,8 +1,8 @@
 // Package fleet distributes simulation work across a pool of backends.
 // A Backend executes one run or experiment; Remote speaks the r3dlad
 // wire format over HTTP, and Pool routes requests across many backends —
-// least-loaded dispatch with per-backend inflight accounting, health
-// probing with backoff for dead members, bounded retries that exclude
+// least-loaded dispatch with per-backend inflight accounting, one
+// circuit breaker per member as its health, bounded retries that exclude
 // the backend that failed, and optional hedging of straggler requests.
 //
 // The contract that makes distribution safe is determinism: every run is
@@ -10,9 +10,10 @@
 // workload|configKey@budget. Any backend may execute any cell, a retried
 // or hedged cell returns the same bytes as the first attempt, and output
 // assembled from a fleet is byte-identical to a fully local run. The
-// sweep journal and the singleflight result cache both sit on the client
-// side of the Backend boundary, so checkpoint/resume and cross-request
-// dedup behave identically whether cells run locally or remotely.
+// sweep journal sits on the client side of the Backend boundary, so
+// checkpoint/resume behaves identically whether cells run locally or
+// remotely; the pool itself keeps no results, since the backends' memos
+// and result stores already do.
 package fleet
 
 import (
@@ -29,13 +30,14 @@ import (
 var (
 	// ErrUnavailable marks a backend that cannot take the request right
 	// now: connection refused or dropped, or a request timeout. Retrying
-	// elsewhere is safe; the member is presumed dead until re-probed.
+	// elsewhere is safe; the member's breaker opens until a trial request
+	// is answered.
 	ErrUnavailable = errors.New("fleet: backend unavailable")
 
 	// ErrOverloaded marks a 503 from the server's admission control: the
 	// backend is alive but shedding load. The pool treats it as
 	// backpressure — prefer another member, or wait for capacity — not
-	// as a death; an overloaded member is never marked down.
+	// as a death; a shed never opens the member's breaker.
 	ErrOverloaded = errors.New("fleet: backend at capacity")
 
 	// ErrBackend marks a backend-side failure (5xx, malformed response,
@@ -60,9 +62,6 @@ type Backend interface {
 	// Experiment regenerates one paper artifact by id, at the backend's
 	// default budget.
 	Experiment(ctx context.Context, id string) (*lab.Report, error)
-
-	// Check probes liveness; nil means the backend can take work.
-	Check(ctx context.Context) error
 
 	// Close releases the backend's resources.
 	Close() error

@@ -11,37 +11,29 @@ import (
 
 	"r3dla/internal/exp"
 	"r3dla/internal/lab"
-	"r3dla/internal/memo"
 )
 
 // Pool routes requests across a set of backends. Dispatch is least-loaded
 // (client-side inflight accounting, refined by the server-reported load
 // from /v1/stats when a member exposes it); a member whose request fails
-// with a backend fault is marked down and the cell is retried on a
-// different member (bounded attempts, failed members excluded); a
-// background prober revives dead members with exponential backoff; and an
-// optional hedge duplicates straggler requests onto a second member —
-// safe because every request is deterministic, so whichever copy finishes
-// first carries the same bytes.
+// with a backend fault has its breaker opened and the cell is retried on
+// a different member (bounded attempts, failed members excluded); after
+// the breaker's cooldown one real request decides whether the member is
+// back; and an optional hedge duplicates straggler requests onto a
+// second member — safe because every request is deterministic, so
+// whichever copy finishes first carries the same bytes.
 //
-// The pool memoizes run results under the canonical
-// workload|configKey@budget key in an internal/memo, as the Lab does:
-// concurrent identical cells collapse onto one dispatch, which a caller
-// going away does not cancel while another still waits, and overlapping
-// sweeps share results client-side no matter which backend computed them.
+// The pool keeps routing state only, no results: the serving backends'
+// run memos and result stores already coalesce and keep every cell.
 type Pool struct {
 	members []*member
 
-	retries      int           // max attempts per request
-	hedge        time.Duration // 0 = no hedging
-	probeEvery   time.Duration
-	maxBackoff   time.Duration
-	jobs         chan struct{} // total-dispatch semaphore; nil = unlimited
-	brkThreshold int           // consecutive hard faults to open a member's breaker (0 = disabled)
-	brkCooldown  time.Duration // first open window (0 = probeEvery)
+	retries    int           // max attempts per request
+	hedge      time.Duration // 0 = no hedging
+	probeEvery time.Duration // load-probe cadence and first breaker cooldown
+	jobs       chan struct{} // total-dispatch semaphore; nil = unlimited
 
-	results memo.Memo[*lab.RunResult, struct{}]
-	issued  atomic.Int64 // backend calls actually issued (retries and hedges count)
+	issued atomic.Int64 // backend calls actually issued (retries and hedges count)
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -53,13 +45,7 @@ type member struct {
 	b        Backend
 	inflight atomic.Int64 // requests this pool currently has on the member
 	load     atomic.Int64 // server-reported inflight at the last stats probe
-	healthy  atomic.Bool
-	brk      *breaker // consecutive-failure circuit breaker (nil = disabled)
-
-	mu        sync.Mutex
-	backoff   time.Duration
-	nextProbe time.Time
-	lastErr   error
+	brk      *breaker     // the member's health
 }
 
 // PoolOption configures a Pool.
@@ -83,8 +69,9 @@ func WithHedgeAfter(d time.Duration) PoolOption {
 	return func(p *Pool) { p.hedge = d }
 }
 
-// WithProbeEvery sets the health-probe cadence for dead members (default
-// 5s; the re-probe backoff starts here and doubles up to 8x).
+// WithProbeEvery sets how often the pool refreshes members' server load,
+// and how long a member's breaker stays open after its first hard fault
+// (default 5s; the cooldown doubles per failed trial up to 8x).
 func WithProbeEvery(d time.Duration) PoolOption {
 	return func(p *Pool) {
 		if d > 0 {
@@ -104,58 +91,26 @@ func WithJobs(n int) PoolOption {
 	}
 }
 
-// WithBreaker tunes the per-member circuit breaker: threshold
-// consecutive hard faults open a member's breaker for cooldown, after
-// which one idle-time trial request decides between closing it and
-// doubling the cooldown. threshold <= 0 disables breaking; cooldown <= 0
-// defaults to the probe cadence. The default is threshold 5.
-//
-// The breaker composes with (not replaces) the health prober: the
-// prober's healthz revival restores routing eligibility, but a member
-// whose healthz answers while its runs keep failing stays broken until a
-// real request survives — no flapping between the two signals.
-func WithBreaker(threshold int, cooldown time.Duration) PoolOption {
-	return func(p *Pool) {
-		p.brkThreshold = threshold
-		p.brkCooldown = cooldown
-	}
-}
-
-// NewPool builds a router over the given backends and starts its health
-// prober. Members start healthy (the first failed dispatch demotes them);
-// Close stops the prober and closes every backend.
+// NewPool builds a router over the given backends and starts its load
+// prober. Members start with closed breakers (the first failed dispatch
+// opens one); Close stops the prober and closes every backend.
 func NewPool(backends []Backend, opts ...PoolOption) (*Pool, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("%w: empty pool", ErrNoBackends)
 	}
-	p := &Pool{
-		retries:      3,
-		probeEvery:   5 * time.Second,
-		brkThreshold: 5,
-		stop:         make(chan struct{}),
-	}
-	for _, b := range backends {
-		m := &member{b: b}
-		m.healthy.Store(true)
-		p.members = append(p.members, m)
-	}
+	p := &Pool{retries: 3, probeEvery: 5 * time.Second, stop: make(chan struct{})}
 	for _, o := range opts {
 		o(p)
 	}
-	p.maxBackoff = 8 * p.probeEvery
-	cooldown := p.brkCooldown
-	if cooldown <= 0 {
-		cooldown = p.probeEvery
-	}
-	for _, m := range p.members {
-		m.brk = newBreaker(p.brkThreshold, cooldown)
+	for _, b := range backends {
+		p.members = append(p.members, &member{b: b, brk: newBreaker(p.probeEvery)})
 	}
 	p.wg.Add(1)
 	go p.prober()
 	return p, nil
 }
 
-// Close stops the health prober and closes every member backend.
+// Close stops the load prober and closes every member backend.
 func (p *Pool) Close() error {
 	var err error
 	p.closeOnce.Do(func() {
@@ -171,25 +126,26 @@ func (p *Pool) Close() error {
 }
 
 // BackendCalls reports how many requests were actually issued to members
-// (cache hits excluded; retries and hedges each count). The resume and
-// dedup tests assert against it the way lab.RunCount is asserted locally.
+// (retries and hedges each count). The resume tests assert against it
+// the way lab.RunCount is asserted locally.
 func (p *Pool) BackendCalls() int64 { return p.issued.Load() }
 
 // MemberStatus is one member's routing view.
 type MemberStatus struct {
 	Name     string
-	Healthy  bool
+	Healthy  bool // the breaker is closed
 	Inflight int64
-	Breaker  string // "closed", "open", "half-open", or "disabled"
+	Breaker  string // "closed", "open" or "half-open"
 }
 
 // Status snapshots every member's routing state in construction order.
 func (p *Pool) Status() []MemberStatus {
 	out := make([]MemberStatus, len(p.members))
 	for i, m := range p.members {
+		st := m.brk.current()
 		out[i] = MemberStatus{
-			Name: m.b.Name(), Healthy: m.healthy.Load(),
-			Inflight: m.inflight.Load(), Breaker: m.brk.status(),
+			Name: m.b.Name(), Healthy: st == brkClosed,
+			Inflight: m.inflight.Load(), Breaker: st.String(),
 		}
 	}
 	return out
@@ -197,20 +153,15 @@ func (p *Pool) Status() []MemberStatus {
 
 // ------------------------------------------------------------- dispatch
 
-// Run executes one simulation somewhere in the fleet. Identical
-// concurrent requests collapse onto one dispatch, and completed results
-// are served from the client-side cache (results are deterministic, so
-// the cache never goes stale).
+// Run executes one simulation somewhere in the fleet, routed by its
+// canonical workload|configKey@budget key.
 func (p *Pool) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
 	cfg, err := req.Config.Config()
 	if err != nil {
 		return nil, err
 	}
-	key := lab.RunKey(req.Workload, cfg, req.Budget)
-	return p.results.Do(ctx, key, func(ctx context.Context) (*lab.RunResult, error) {
-		return dispatch(ctx, p, key, func(ctx context.Context, m *member) (*lab.RunResult, error) {
-			return m.b.Run(ctx, req)
-		})
+	return dispatch(ctx, p, lab.RunKey(req.Workload, cfg, req.Budget), func(ctx context.Context, m *member) (*lab.RunResult, error) {
+		return m.b.Run(ctx, req)
 	})
 }
 
@@ -354,23 +305,22 @@ func dispatch[T any](ctx context.Context, p *Pool, key string, call func(context
 	return zero, fmt.Errorf("fleet: request failed on %d backend(s), last: %w", len(excluded)+len(shedding), lastErr)
 }
 
-// runMember issues one call on m with inflight accounting; a hard
-// backend fault demotes the member so the prober owns its recovery (an
-// overloaded member stays healthy — it answered, it is just full).
+// runMember issues one call on m with inflight accounting and feeds the
+// outcome to m's breaker: an answer closes it (a 503 shed is an answer —
+// the member is alive, just full), a hard fault opens it.
 func runMember[T any](ctx context.Context, p *Pool, m *member, call func(context.Context, *member) (T, error)) (T, error) {
 	p.issued.Add(1)
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	res, err := call(ctx, m)
 	switch {
-	case err != nil && Retryable(err) && !errors.Is(err, ErrOverloaded):
-		// A hard fault feeds both recovery tracks: the prober owns
-		// liveness, the breaker owns consecutive-failure streaks.
-		p.markDown(m, err)
-		m.brk.failure(time.Now())
 	case err == nil || errors.Is(err, ErrOverloaded):
-		// The member answered (a 503 shed is an answer); the streak ends.
 		m.brk.success()
+	case Retryable(err):
+		// The last probed load is dead data now; the member comes back
+		// from a clean slate instead of biasing routing with its past.
+		m.load.Store(0)
+		m.brk.failure(time.Now())
 	}
 	return res, err
 }
@@ -472,7 +422,7 @@ func (p *Pool) pickKeyed(key string, excluded map[*member]bool) *member {
 	var aff *member
 	var affScore uint64
 	for _, m := range p.members {
-		if excluded[m] || !m.healthy.Load() || m.brk.blocked(now, m.inflight.Load()) {
+		if excluded[m] || m.brk.blocked(now, m.inflight.Load()) {
 			continue
 		}
 		if score := rendezvousScore(key, m.b.Name()); aff == nil || score > affScore {
@@ -499,12 +449,13 @@ func rendezvousScore(key, name string) uint64 {
 	return h.Sum64()
 }
 
-// pick selects the least-loaded eligible member: healthy and not
-// excluded, ordered by this pool's inflight count, then the
+// pick selects the least-loaded eligible member: not excluded and not
+// blocked by its breaker, ordered by this pool's inflight count, then the
 // server-reported load from the last stats probe, then construction
-// order. When every healthy member is excluded it falls back to unproven
-// members — a backend that just came back serves traffic before the
-// prober notices.
+// order. When every unblocked member is excluded it falls back to the
+// blocked ones: failing fast on a real attempt beats failing with
+// ErrNoBackends, and a backend that just came back serves traffic before
+// its cooldown ends.
 func (p *Pool) pick(excluded map[*member]bool) *member {
 	best := p.pickFrom(excluded, true)
 	if best == nil {
@@ -513,19 +464,16 @@ func (p *Pool) pick(excluded map[*member]bool) *member {
 	return best
 }
 
-func (p *Pool) pickFrom(excluded map[*member]bool, needHealthy bool) *member {
+func (p *Pool) pickFrom(excluded map[*member]bool, honorBreaker bool) *member {
 	now := time.Now()
 	var best *member
 	var bestIn, bestLoad int64
 	for _, m := range p.members {
-		if excluded[m] || (needHealthy && !m.healthy.Load()) {
+		if excluded[m] {
 			continue
 		}
 		in, load := m.inflight.Load(), m.load.Load()
-		// An open breaker vetoes the member on the healthy pass only: the
-		// unproven fallback (everything else excluded or down) may still
-		// try it — failing fast there beats failing with ErrNoBackends.
-		if needHealthy && m.brk.blocked(now, in) {
+		if honorBreaker && m.brk.blocked(now, in) {
 			continue
 		}
 		if best == nil || in < bestIn || (in == bestIn && load < bestLoad) {
@@ -535,36 +483,12 @@ func (p *Pool) pickFrom(excluded map[*member]bool, needHealthy bool) *member {
 	return best
 }
 
-// --------------------------------------------------------------- health
+// ----------------------------------------------------------------- load
 
-// markDown demotes a member after a backend fault; the prober re-probes
-// it with backoff until it answers again.
-func (p *Pool) markDown(m *member, err error) {
-	if m.healthy.CompareAndSwap(true, false) {
-		// The last probed load is dead data now; a revived member starts
-		// from a clean slate instead of biasing routing with its past.
-		m.load.Store(0)
-		m.mu.Lock()
-		m.backoff = p.probeEvery
-		m.nextProbe = time.Now().Add(m.backoff)
-		m.lastErr = err
-		m.mu.Unlock()
-	}
-}
-
-func (p *Pool) revive(m *member) {
-	m.mu.Lock()
-	m.backoff = 0
-	m.lastErr = nil
-	m.mu.Unlock()
-	m.healthy.Store(true)
-}
-
-// probeTimeout caps each health or load probe.
+// probeTimeout caps each load probe.
 const probeTimeout = 3 * time.Second
 
-// prober periodically re-probes dead members (with per-member exponential
-// backoff) and refreshes healthy members' server-reported load.
+// prober refreshes the members' server-reported load every probeEvery.
 func (p *Pool) prober() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.probeEvery)
@@ -579,47 +503,24 @@ func (p *Pool) prober() {
 	}
 }
 
+// probeAll refreshes the load of every member that reports one and
+// whose breaker is closed; a member with an open breaker keeps the zero
+// its fault left.
 func (p *Pool) probeAll() {
-	now := time.Now()
 	for _, m := range p.members {
-		if m.healthy.Load() {
-			if lr, ok := m.b.(loadReporter); ok {
-				ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-				if st, err := lr.Stats(ctx); err == nil {
-					m.load.Store(st.Inflight)
-				} else {
-					// A failing stats endpoint means the last value is
-					// stale; forget it rather than keep routing on dead
-					// data (the member itself may still serve fine).
-					m.load.Store(0)
-				}
-				cancel()
-			}
-			continue
-		}
-		m.mu.Lock()
-		due := !now.Before(m.nextProbe)
-		m.mu.Unlock()
-		if !due {
+		lr, ok := m.b.(loadReporter)
+		if !ok || m.brk.current() != brkClosed {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-		err := m.b.Check(ctx)
+		if st, err := lr.Stats(ctx); err == nil {
+			m.load.Store(st.Inflight)
+		} else {
+			// A failing stats endpoint means the last value is stale;
+			// forget it rather than keep routing on dead data (the
+			// member itself may still serve fine).
+			m.load.Store(0)
+		}
 		cancel()
-		if err == nil {
-			p.revive(m)
-			continue
-		}
-		m.mu.Lock()
-		m.backoff *= 2
-		if m.backoff > p.maxBackoff {
-			m.backoff = p.maxBackoff
-		}
-		if m.backoff == 0 {
-			m.backoff = p.probeEvery
-		}
-		m.nextProbe = time.Now().Add(m.backoff)
-		m.lastErr = err
-		m.mu.Unlock()
 	}
 }

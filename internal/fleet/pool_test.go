@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +20,6 @@ type fakeBackend struct {
 	calls atomic.Int64
 	run   func(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error)
 	exp   func(ctx context.Context, id string) (*lab.Report, error)
-	check func(ctx context.Context) error
 }
 
 func (f *fakeBackend) Name() string { return f.name }
@@ -33,12 +33,6 @@ func (f *fakeBackend) Experiment(ctx context.Context, id string) (*lab.Report, e
 		return &lab.Report{ID: id}, nil
 	}
 	return f.exp(ctx, id)
-}
-func (f *fakeBackend) Check(ctx context.Context) error {
-	if f.check == nil {
-		return nil
-	}
-	return f.check(ctx)
 }
 func (f *fakeBackend) Close() error { return nil }
 
@@ -238,102 +232,6 @@ func TestPoolNonRetryableFailsFast(t *testing.T) {
 	}
 }
 
-// TestPoolSingleflight: concurrent identical requests collapse onto one
-// dispatch, and completed results are served from the client-side cache.
-func TestPoolSingleflight(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	b0 := &fakeBackend{name: "b0", run: func(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
-		close(started)
-		<-release
-		return okRun("b0")(ctx, req)
-	}}
-	p := newTestPool(t, []Backend{b0})
-
-	var wg sync.WaitGroup
-	results := make([]*lab.RunResult, 2)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := p.Run(context.Background(), testReq(100))
-			if err != nil {
-				t.Errorf("run %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	<-started
-	// Both callers are now keyed to the same flight; release the leader.
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if got := p.BackendCalls(); got != 1 {
-		t.Fatalf("identical concurrent requests issued %d backend calls, want 1", got)
-	}
-	if results[0] != results[1] {
-		t.Fatal("waiters did not share the leader's result")
-	}
-	// Completed results are cached: a later identical request is free.
-	if _, err := p.Run(context.Background(), testReq(100)); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.BackendCalls(); got != 1 {
-		t.Fatalf("cache miss on a completed key (%d calls)", got)
-	}
-}
-
-// TestPoolLeaderCancelKeepsDispatch: a leader whose caller goes away
-// mid-dispatch, while another caller waits on the same cell, does not
-// cancel the dispatch; the waiter gets its answer from the one backend
-// call instead of dispatching again.
-func TestPoolLeaderCancelKeepsDispatch(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	b0 := &fakeBackend{name: "b0", run: func(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
-		once.Do(func() { close(started) })
-		select {
-		case <-release:
-			return okRun("b0")(ctx, req)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}}
-	p := newTestPool(t, []Backend{b0})
-
-	lctx, cancel := context.WithCancel(context.Background())
-	leader := make(chan error, 1)
-	go func() {
-		_, err := p.Run(lctx, testReq(100))
-		leader <- err
-	}()
-	<-started
-	waiter := make(chan *lab.RunResult, 1)
-	go func() {
-		res, err := p.Run(context.Background(), testReq(100))
-		if err != nil {
-			t.Errorf("waiter: %v", err)
-		}
-		waiter <- res
-	}()
-	// Let the waiter join the leader's flight, then cut the leader.
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	if res := <-waiter; res == nil {
-		t.Fatal("the waiter got no result")
-	}
-	if err := <-leader; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled leader returned %v, want context.Canceled", err)
-	}
-	if got := p.BackendCalls(); got != 1 {
-		t.Fatalf("a canceled leader with a waiter left cost %d backend calls, want 1", got)
-	}
-}
-
 // TestPoolOverloadBackpressure: admission-control shedding (503) is
 // backpressure, not death — the pool prefers another member, or waits
 // for capacity, and the shedding member is never marked down.
@@ -426,51 +324,6 @@ func TestPoolHedging(t *testing.T) {
 	}
 	if got := p.BackendCalls(); got != 2 {
 		t.Fatalf("issued %d backend calls, want 2 (primary + hedge)", got)
-	}
-}
-
-// TestPoolProbeRevivesDeadBackend: a member marked down by a dispatch
-// fault returns to rotation once its health probe passes again.
-func TestPoolProbeRevivesDeadBackend(t *testing.T) {
-	names := []string{"b0", "b1"}
-	faulty := ownerIndex(runKeyFor(t, testReq(100)), names)
-
-	var down atomic.Bool
-	down.Store(true)
-	backends := make([]*fakeBackend, 2)
-	for i, n := range names {
-		backends[i] = &fakeBackend{name: n, run: okRun(n)}
-	}
-	inner := okRun(names[faulty])
-	backends[faulty].run = func(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
-		if down.Load() {
-			return nil, fmt.Errorf("%w: down", ErrUnavailable)
-		}
-		return inner(ctx, req)
-	}
-	backends[faulty].check = func(context.Context) error {
-		if down.Load() {
-			return fmt.Errorf("%w: still down", ErrUnavailable)
-		}
-		return nil
-	}
-	p := newTestPool(t, []Backend{backends[0], backends[1]}, WithProbeEvery(5*time.Millisecond))
-
-	if _, err := p.Run(context.Background(), testReq(100)); err != nil {
-		t.Fatal(err)
-	}
-	if p.Status()[faulty].Healthy {
-		t.Fatal("faulting member not marked down")
-	}
-	down.Store(false)
-	for i := 0; ; i++ {
-		if p.Status()[faulty].Healthy {
-			break
-		}
-		if i > 2000 {
-			t.Fatal("prober never revived the recovered member")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -569,16 +422,49 @@ func TestPoolStaleLoadReset(t *testing.T) {
 		t.Fatalf("after b0's stats died, dispatch chose %s, want the rebalance to b0", rep.Title)
 	}
 
-	// Markdown also clears the signal: a revived member starts clean.
+	// A hard fault also clears the signal: a recovered member starts
+	// clean, and the prober leaves it at zero while its breaker is open.
 	b0statsDown.Store(false)
 	p.probeAll()
 	if load := p.members[0].load.Load(); load != 5 {
 		t.Fatalf("b0 load %d after healthy probe, want 5", load)
 	}
-	p.markDown(p.members[0], fmt.Errorf("%w: fault", ErrUnavailable))
+	runMember(context.Background(), p, p.members[0], func(context.Context, *member) (struct{}, error) {
+		return struct{}{}, fmt.Errorf("%w: fault", ErrUnavailable)
+	})
 	if load := p.members[0].load.Load(); load != 0 {
-		t.Fatalf("b0 load %d after markdown, want 0", load)
+		t.Fatalf("b0 load %d after a hard fault, want 0", load)
 	}
+	p.probeAll()
+	if load := p.members[0].load.Load(); load != 0 {
+		t.Fatalf("b0 load %d probed while its breaker is open, want 0", load)
+	}
+}
+
+// TestPoolKeepsNoResults pins the pool's memory bound: it keeps routing
+// state only, so 10^5 distinct cells leave its live heap where it was.
+// Keeping cells is the serving backends' job (their run memos and result
+// stores).
+func TestPoolKeepsNoResults(t *testing.T) {
+	p := newTestPool(t, []Backend{&fakeBackend{name: "b0", run: okRun("b0")}})
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const cells = 100_000
+	before := liveHeap()
+	for i := range cells {
+		if _, err := p.Run(context.Background(), testReq(uint64(1+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if growth := liveHeap() - before; growth >= 1<<20 {
+		t.Fatalf("%d distinct cells grew the live heap by %d bytes (%d B/cell); the pool must keep no results",
+			cells, growth, growth/cells)
+	}
+	runtime.KeepAlive(p)
 }
 
 // TestPoolCacheAffinity pins the rendezvous routing contract: with an

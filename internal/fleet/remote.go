@@ -246,12 +246,6 @@ func (r *Remote) Stats(ctx context.Context) (lab.Stats, error) {
 	return s, err
 }
 
-// Check probes liveness through /v1/healthz.
-func (r *Remote) Check(ctx context.Context) error {
-	_, err := r.Health(ctx)
-	return err
-}
-
 func (r *Remote) getJSON(ctx context.Context, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+path, nil)
 	if err != nil {

@@ -1,7 +1,6 @@
 // Package memo is the module's one singleflight cache. It backs the
 // experiment engine's prep and run tables (and through them every Lab
-// and the r3dlad server), the fleet pool's client-side results and the
-// tier calibrator.
+// and the r3dlad server) and the tier calibrator.
 //
 // Each keyed computation runs at most once at a time. A success is kept
 // and returned to later callers; a failure is not. The computation runs

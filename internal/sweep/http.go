@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,17 +10,6 @@ import (
 	"r3dla/internal/lab"
 	"r3dla/internal/tier"
 )
-
-// Gate is the slice of the r3dlad server a sweep handler shares: request
-// admission (503 at capacity, class-aware via the request's priority
-// header), outcome accounting for /v1/healthz, and the per-request
-// budget cap. *lab.Server implements it; a nil Gate means unlimited
-// admission and no budget cap (library/test use).
-type Gate interface {
-	Admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool)
-	Observe(ctx context.Context, err error)
-	MaxBudget() uint64
-}
 
 // StreamLine is one NDJSON line of a POST /v1/sweeps or /v1/explore
 // response: a "cell" line per completed cell (in completion order; an
@@ -39,31 +27,26 @@ type StreamLine struct {
 	Error   string         `json:"error,omitempty"`
 }
 
-// CheckBudget rejects a per-cell budget over g's cap, the same policy
-// POST /v1/runs enforces. A nil Gate has no cap.
-func CheckBudget(g Gate, budget uint64) error {
-	if g == nil {
-		return nil
-	}
-	if max := g.MaxBudget(); max > 0 && budget > max {
+// CheckBudget rejects a per-cell budget over srv's cap, the same policy
+// POST /v1/runs enforces.
+func CheckBudget(srv *lab.Server, budget uint64) error {
+	if max := srv.MaxBudget(); max > 0 && budget > max {
 		return fmt.Errorf("%w: budget %d exceeds server cap %d", lab.ErrInvalid, budget, max)
 	}
 	return nil
 }
 
-// ServeCells answers a validated request: it admits r through g (a nil
-// Gate admits everything) and streams one "cell" line per Event run
-// reports, then the report run returns (see lab.Stream).
-func ServeCells(w http.ResponseWriter, r *http.Request, g Gate, run func(progress func(Event)) (*exp.Report, error)) {
-	observe := func(error) {}
-	if g != nil {
-		release, ok := g.Admit(w, r)
-		if !ok {
-			return
-		}
-		defer release()
-		observe = func(err error) { g.Observe(r.Context(), err) }
+// ServeCells answers a validated request: it admits r through srv
+// (request admission, 503 at capacity, and outcome accounting for
+// /v1/healthz, exactly like runs) and streams one "cell" line per Event
+// run reports, then the report run returns (see lab.Stream).
+func ServeCells(w http.ResponseWriter, r *http.Request, srv *lab.Server, run func(progress func(Event)) (*exp.Report, error)) {
+	release, ok := srv.Admit(w, r)
+	if !ok {
+		return
 	}
+	defer release()
+	observe := func(err error) { srv.Observe(r.Context(), err) }
 	lab.Stream(w, observe, func(emit func(any)) (any, error) {
 		return run(func(ev Event) {
 			c := ev.Cell
@@ -78,10 +61,10 @@ func ServeCells(w http.ResponseWriter, r *http.Request, g Gate, run func(progres
 // NewHandler returns the POST /v1/sweeps handler over l: the body is a
 // sweep Spec (JSON), the response an NDJSON stream of completed cells
 // followed by the aggregate report. Validation failures are proper 400s
-// before the stream commits to 200. Sweeps are admitted through g exactly
-// like runs; the server journals nothing — cross-request reuse comes from
-// the Lab's memo instead.
-func NewHandler(l *lab.Lab, g Gate) http.Handler {
+// before the stream commits to 200. Sweeps are admitted through srv
+// exactly like runs; the server journals nothing — cross-request reuse
+// comes from the Lab's memo instead.
+func NewHandler(l *lab.Lab, srv *lab.Server) http.Handler {
 	tiers := &TierRunners{Lab: l}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -91,7 +74,7 @@ func NewHandler(l *lab.Lab, g Gate) http.Handler {
 		}
 		spec, err := ParseSpec(body)
 		if err == nil {
-			err = CheckBudget(g, spec.Budget)
+			err = CheckBudget(srv, spec.Budget)
 		}
 		if err != nil {
 			lab.WriteError(w, http.StatusBadRequest, err)
@@ -110,7 +93,7 @@ func NewHandler(l *lab.Lab, g Gate) http.Handler {
 			lab.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		ServeCells(w, r, g, func(progress func(Event)) (*exp.Report, error) {
+		ServeCells(w, r, srv, func(progress func(Event)) (*exp.Report, error) {
 			res, err := RunCells(r.Context(), runner, spec, cells, Options{Progress: progress})
 			if err != nil {
 				return nil, err

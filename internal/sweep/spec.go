@@ -5,8 +5,8 @@
 // backends — completed cells are checkpointed to an NDJSON journal so an
 // interrupted sweep resumes without repeating work, and results
 // aggregate into a long-form table with per-axis marginals. Because
-// every cell runs through the Runner's singleflight result cache (the
-// Lab's locally, the pool's across the wire), overlapping sweeps (and
+// every cell runs through a Lab's singleflight result cache (in process,
+// or in the serving r3dlad across the wire), overlapping sweeps (and
 // sweeps overlapping plain runs) share simulations instead of repeating
 // them; and because cells are deterministic, the rendered output is
 // byte-identical whichever Runner executed them.

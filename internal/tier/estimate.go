@@ -9,19 +9,6 @@ import (
 	"r3dla/internal/pipeline"
 )
 
-// Default hardware sizings shared with the core layer (a zero in
-// core.Options means "default").
-const (
-	defBOQ    = 512
-	defFQ     = 128
-	defVQ     = 32
-	defReboot = 64
-)
-
-// fbCapacity is the DLA fetch buffer's extra decoupling depth (the
-// 32-entry BOQ-driven MT fetch buffer of the "reuse" mechanism).
-const fbCapacity = 32
-
 // maxModelCapacity bounds the Markov/MC queue size: transition matrices
 // are O(cap²) and efficiency saturates long before this.
 const maxModelCapacity = 96
@@ -36,7 +23,7 @@ func capacityOf(opt core.Options) int {
 	}
 	capacity := cc.FetchBufSize
 	if opt.FetchBuffer {
-		capacity += fbCapacity
+		capacity += core.FetchBufferSize
 	}
 	if capacity < 1 {
 		capacity = 1
@@ -116,9 +103,9 @@ func coreFactor(opt core.Options) float64 {
 // already cover: queue sizings, feature toggles, core sizing, reboot
 // cost, and a fixed skeleton version. spread is Calibration.Spread().
 func structureFactor(opt, ref core.Options, spread float64, a Anchor) float64 {
-	f := queueFactor(orDef(opt.BOQSize, defBOQ), orDef(ref.BOQSize, defBOQ), 0.10)
-	f *= queueFactor(orDef(opt.FQSize, defFQ), orDef(ref.FQSize, defFQ), 0.05)
-	f *= queueFactor(orDef(opt.VQSize, defVQ), orDef(ref.VQSize, defVQ), 0.03)
+	f := queueFactor(orDef(opt.BOQSize, core.DefaultBOQSize), orDef(ref.BOQSize, core.DefaultBOQSize), 0.10)
+	f *= queueFactor(orDef(opt.FQSize, core.DefaultFQSize), orDef(ref.FQSize, core.DefaultFQSize), 0.05)
+	f *= queueFactor(orDef(opt.VQSize, core.DefaultVQSize), orDef(ref.VQSize, core.DefaultVQSize), 0.03)
 
 	// The r3/dla anchor gap is the joint gain of the R3 features; spread
 	// it as a uniform per-feature multiplier across the three toggles the
@@ -138,8 +125,8 @@ func structureFactor(opt, ref core.Options, spread float64, a Anchor) float64 {
 	// Costlier reboots hurt in proportion to how often this workload
 	// actually reboots (the anchor rate).
 	rate := a.RebootsPerKCycle / 1000
-	rbRef := float64(orDef(int(ref.RebootCost), defReboot))
-	rbOpt := float64(orDef(int(opt.RebootCost), defReboot))
+	rbRef := float64(orDef(int(ref.RebootCost), core.DefaultRebootCost))
+	rbOpt := float64(orDef(int(opt.RebootCost), core.DefaultRebootCost))
 	f *= (1 + rate*rbRef) / (1 + rate*rbOpt)
 
 	f *= coreFactor(opt) / coreFactor(ref)

@@ -84,7 +84,7 @@ func simulateQueue(cal *Calibration, opt core.Options, anchor Anchor, rng *split
 	supply := newSampler(cal.Supply)
 	demand := newSampler(cal.Demand)
 	rebootP := clamp(anchor.RebootsPerKCycle/1000, 0, 1)
-	rebootStall := orDef(int(opt.RebootCost), defReboot)
+	rebootStall := orDef(int(opt.RebootCost), core.DefaultRebootCost)
 
 	queue, stall := 0, 0
 	var served, demanded float64
