@@ -19,6 +19,7 @@ import (
 	"r3dla/internal/exp"
 	"r3dla/internal/fleet"
 	"r3dla/internal/lab"
+	"r3dla/internal/resultstore"
 	"r3dla/internal/sweep"
 )
 
@@ -279,6 +280,52 @@ func BenchmarkFleetSweep1Backend(b *testing.B) { benchFleetSweep(b, 1) }
 // machine's cores (DESIGN.md §7).
 func BenchmarkFleetSweep3Backends(b *testing.B) { benchFleetSweep(b, 3) }
 
+// storeHitBudget is the budget of the warmed store-hit cell.
+const storeHitBudget = 3_000
+
+// newStoreHitRemote serves an in-process lab.Server with a result store
+// behind httptest, runs one mcf cell so the store holds it, and returns
+// a Remote for which Run(req) is a store hit: one in-process /v1/runs
+// request with no admission and no simulation.
+func newStoreHitRemote(tb testing.TB) (r *fleet.Remote, req lab.RunRequest) {
+	tb.Helper()
+	l, err := lab.New(lab.WithBudget(storeHitBudget))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := resultstore.Open(tb.TempDir(), lab.ResultsFingerprint, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := httptest.NewServer(lab.NewServer(l, lab.WithResultStore(st)))
+	tb.Cleanup(srv.Close)
+	r, err = fleet.NewRemote(srv.URL)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.Close() })
+	req = lab.RunRequest{Workload: "mcf", Config: lab.ConfigSpec{Preset: "r3"}, Budget: storeHitBudget}
+	if _, err := r.Run(context.Background(), req); err != nil {
+		tb.Fatal(err)
+	}
+	return r, req
+}
+
+// BenchmarkRemoteStoreHit is one ?stream=1 store hit through
+// fleet.Remote, client and server in this process. CI runs it with
+// -benchmem, ungated.
+func BenchmarkRemoteStoreHit(b *testing.B) {
+	r, req := newStoreHitRemote(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Microbenchmarks of the simulator substrate.
 
@@ -402,6 +449,34 @@ func TestCoreRunAllocs(t *testing.T) {
 				t.Errorf("one %s cell allocates %.0f objects, want <= %.0f", c.name, got, c.maxAllocs)
 			}
 		})
+	}
+}
+
+// TestStoreHitAllocs bounds the bytes one store hit allocates, client
+// and in-process server together. A hit allocated 1,066 KB while the
+// client preallocated a 1 MiB line buffer per request, and 20.6 KB
+// (~40 KB under -race) since its buffer grows only as a line needs.
+func TestStoreHitAllocs(t *testing.T) {
+	const hits, maxBytes = 200, 64 << 10
+	r, req := newStoreHitRemote(t)
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		if _, err := r.Run(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	st, err := r.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Runs != 1 || st.Store.Hits != hits {
+		t.Fatalf("%d simulations and %d store hits, want 1 and %d", st.Runs, st.Store.Hits, hits)
+	}
+	if got := (after.TotalAlloc - before.TotalAlloc) / hits; got > maxBytes {
+		t.Errorf("one store hit allocates %d bytes, want <= %d", got, maxBytes)
 	}
 }
 

@@ -152,10 +152,14 @@ type streamLine struct {
 // readStream consumes an NDJSON response until its terminal line and
 // decodes the terminal payload into out, draining the progress lines
 // before it. A stream that ends without a terminal line means the
-// backend died mid-request, which is retryable.
+// backend died mid-request, which is retryable. The line buffer starts
+// at bufio's default size and grows only for a line that needs it, up
+// to 16 MiB (a longer line is bufio.ErrTooLong, also retryable): a run
+// result is under a kilobyte, and a buffer preallocated for long lines
+// would be allocated and zeroed on every request.
 func (r *Remote) readStream(ctx context.Context, body io.Reader, out any) error {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
+	sc.Buffer(nil, 16<<20)
 	for sc.Scan() {
 		var line streamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {

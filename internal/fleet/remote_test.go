@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,6 +85,19 @@ func TestRemoteConnectionRefused(t *testing.T) {
 	}
 }
 
+// The canned run-stream bodies of the tests below; FuzzReadStream seeds
+// from them too.
+const (
+	// streamOK is a whole run: progress lines, then the result.
+	streamOK = `{"event":"prep","workload":"mcf"}` + "\n" +
+		`{"event":"run","workload":"mcf","key":"k"}` + "\n" +
+		`{"event":"result","result":{"workload":"mcf","config":"k","budget":100,"ipc":1.25,"cycles":80,"committed":100,"reboots":0,"boq_wrong":0,"l1d_mpki":0.5,"dram_traffic":64}}` + "\n"
+	// streamError ends in a server-side error line.
+	streamError = `{"event":"error","error":"simulation exploded"}` + "\n"
+	// streamTruncated ends before its terminal line.
+	streamTruncated = `{"event":"prep","workload":"mcf"}` + "\n"
+)
+
 // TestRemoteRunStream parses the NDJSON run protocol: progress lines are
 // drained, the terminal result line carries the payload.
 func TestRemoteRunStream(t *testing.T) {
@@ -90,9 +106,7 @@ func TestRemoteRunStream(t *testing.T) {
 			t.Error("client did not request the NDJSON stream")
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"event":"prep","workload":"mcf"}`)
-		fmt.Fprintln(w, `{"event":"run","workload":"mcf","key":"k"}`)
-		fmt.Fprintln(w, `{"event":"result","result":{"workload":"mcf","config":"k","budget":100,"ipc":1.25,"cycles":80,"committed":100,"reboots":0,"boq_wrong":0,"l1d_mpki":0.5,"dram_traffic":64}}`)
+		fmt.Fprint(w, streamOK)
 	})
 	res, err := r.Run(context.Background(), testReq(100))
 	if err != nil {
@@ -107,7 +121,7 @@ func TestRemoteRunStream(t *testing.T) {
 // retryable backend fault (validation was rejected before streaming).
 func TestRemoteRunStreamTerminalError(t *testing.T) {
 	r := fakeServer(t, func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintln(w, `{"event":"error","error":"simulation exploded"}`)
+		fmt.Fprint(w, streamError)
 	})
 	_, err := r.Run(context.Background(), testReq(100))
 	if !errors.Is(err, ErrBackend) {
@@ -120,12 +134,47 @@ func TestRemoteRunStreamTerminalError(t *testing.T) {
 // elsewhere.
 func TestRemoteRunStreamTruncated(t *testing.T) {
 	r := fakeServer(t, func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintln(w, `{"event":"prep","workload":"mcf"}`)
+		fmt.Fprint(w, streamTruncated)
 		// Connection ends here — no terminal line.
 	})
 	_, err := r.Run(context.Background(), testReq(100))
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("got %v, want ErrUnavailable", err)
+	}
+}
+
+// writeResultLine writes one result line whose config string is pad
+// bytes long.
+func writeResultLine(w io.Writer, pad int) {
+	fmt.Fprintf(w, `{"event":"result","result":{"workload":"mcf","config":"%s"}}`+"\n", strings.Repeat("k", pad))
+}
+
+// TestRemoteRunStreamLongLine: a result line longer than any run result
+// (2 MiB here) still decodes; the line buffer grows to fit it.
+func TestRemoteRunStreamLongLine(t *testing.T) {
+	const pad = 2 << 20
+	r := fakeServer(t, func(w http.ResponseWriter, req *http.Request) {
+		writeResultLine(w, pad)
+	})
+	res, err := r.Run(context.Background(), testReq(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Workload != "mcf" || len(res.Config) != pad {
+		t.Fatalf("decoded %q with a %d-byte config, want mcf and %d", res.Workload, len(res.Config), pad)
+	}
+}
+
+// TestRemoteRunStreamLineCap: a line over the 16 MiB cap fails the
+// request as retryable ErrUnavailable (bufio.ErrTooLong), so a runaway
+// backend cannot make the client buffer without bound.
+func TestRemoteRunStreamLineCap(t *testing.T) {
+	r := fakeServer(t, func(w http.ResponseWriter, req *http.Request) {
+		writeResultLine(w, 17<<20)
+	})
+	_, err := r.Run(context.Background(), testReq(100))
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), bufio.ErrTooLong.Error()) {
+		t.Fatalf("got %v, want ErrUnavailable from bufio.ErrTooLong", err)
 	}
 }
 

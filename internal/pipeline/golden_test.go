@@ -55,11 +55,24 @@ type timingCase struct {
 	flushEvery uint64 // 0 = never flush
 }
 
+// oddConfig is a narrow core whose ROB (100) is no multiple of 64, as a
+// user's CoreSpec.ROB may be, with odd fetch, decode, issue and commit
+// widths, so an issue or dispatch structure sized in machine words is
+// pinned across its wrap-around too.
+func oddConfig() Config {
+	c := DefaultConfig()
+	c.ROB, c.LSQ = 100, 48
+	c.FetchWidth, c.FetchBufSize = 5, 5
+	c.DecodeWidth, c.IssueWidth, c.CommitWidth = 3, 3, 3
+	c.IntFUs = 3
+	return c
+}
+
 func timingCases() []timingCase {
 	shapes := []struct {
 		name string
 		cfg  Config
-	}{{"default", DefaultConfig()}, {"wide", WideConfig()}, {"half", HalfConfig()}}
+	}{{"default", DefaultConfig()}, {"wide", WideConfig()}, {"half", HalfConfig()}, {"odd", oddConfig()}}
 	var cases []timingCase
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, sh := range shapes {
@@ -122,7 +135,7 @@ func (tc timingCase) run(t *testing.T) timingRecord {
 
 // TestPipelineTimingGoldens pins the core's timing: every Metrics
 // counter and the issue/commit event stream of the random programs on
-// the default, wide and half core shapes at two memory latencies, plus
+// the default, wide, half and odd core shapes at two memory latencies, plus
 // skip-validation runs with a value source that is wrong on a fixed share
 // of lookups, with and without periodic flushes. Any change to the issue,
 // dispatch or commit logic that is meant as a pure speedup must leave
