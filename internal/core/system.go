@@ -146,6 +146,11 @@ type Results struct {
 	SIFDeletes      uint64
 	SkeletonUse     []uint64 // committed MT insts attributed per version
 
+	// MTStridedL1Misses counts MT loads supplied from L2 or beyond at PCs
+	// the training profile marks strided (Table III's split; the rest of
+	// MT.LoadLevelHits[2:] are the other misses).
+	MTStridedL1Misses uint64
+
 	MTMem, LTMem memsys.Stats // each core's private L1I/L1D/L2 counters
 	L3           cache.Stats
 	DRAM         dram.Stats
@@ -282,8 +287,14 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 	mtLoad := s.mtMem.LoadHook()
 	s.mt.Hooks.OnLoadAccess = func(d *emu.DynInst, level int, done, now uint64) {
 		mtLoad(d, level, done, now)
-		if level >= 2 && s.t1 != nil {
+		if level < 2 {
+			return
+		}
+		if s.t1 != nil {
 			s.t1.NoteMissLatency(done - now)
+		}
+		if s.prof.PCs[d.PC].Strided() {
+			s.res.MTStridedL1Misses++
 		}
 	}
 	s.mt.Hooks.OnCommit = s.onMTCommit
@@ -649,17 +660,6 @@ func (s *System) RunContext(ctx context.Context, budget uint64) (*Results, error
 		}
 	}
 	return s.Results(), nil
-}
-
-// MTLoadHook returns the MT core's current load-access hook (for harness
-// instrumentation chaining).
-func (s *System) MTLoadHook() func(d *emu.DynInst, level int, done, now uint64) {
-	return s.mt.Hooks.OnLoadAccess
-}
-
-// SetMTLoadHook replaces the MT core's load-access hook.
-func (s *System) SetMTLoadHook(h func(d *emu.DynInst, level int, done, now uint64)) {
-	s.mt.Hooks.OnLoadAccess = h
 }
 
 // LCTSnapshot exports the recycle controller's learned loop->version

@@ -17,13 +17,10 @@ import (
 	"sync"
 	"time"
 
-	"r3dla/internal/branch"
 	"r3dla/internal/core"
 	"r3dla/internal/emu"
 	"r3dla/internal/isa"
 	"r3dla/internal/memo"
-	"r3dla/internal/memsys"
-	"r3dla/internal/pipeline"
 	"r3dla/internal/resultstore"
 	"r3dla/internal/workloads"
 )
@@ -180,10 +177,11 @@ func (c *Context) abort(err error) {
 
 // Do runs f on the worker pool: it blocks for a slot (respecting Jobs),
 // runs f, and releases the slot. Prep and RunCached acquire a slot
-// themselves; Do is for compute-heavy leaf work that bypasses them
-// (direct BaselineMetricsOn / limit-study / rival runs). f must not call
-// Do, Prep or RunCached — nested acquisition would deadlock a one-slot
-// pool.
+// themselves; Do is for compute-heavy leaf work that no core.Options
+// value describes (the limit study, rival helpers, the SMT pair, the
+// static-LCT training run and the Appendix-B supply/demand runs). f must
+// not call Do, Prep or RunCached — nested acquisition would deadlock a
+// one-slot pool.
 func (c *Context) Do(f func()) {
 	c.checkCanceled()
 	c.state.semOnce.Do(c.initSem)
@@ -410,16 +408,6 @@ func (c *Context) RunDLAAt(p *Prepared, opt core.Options, budget uint64) *core.R
 		r = res
 	})
 	return r
-}
-
-// BaselineMetricsOn runs a standalone baseline core with an arbitrary
-// pipeline config (used by the fetch-buffer and SMT studies).
-func BaselineMetricsOn(p *Prepared, cfg pipeline.Config, budget uint64, bop bool) *pipeline.Metrics {
-	mach := emu.NewMachine(p.Prog, p.Image().Fork())
-	feed := &pipeline.MachineFeeder{M: mach}
-	dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
-	coreC, _ := memsys.NewBaselineCore(cfg, feed, dir, memsys.Options{WithBOP: bop})
-	return coreC.Run(budget)
 }
 
 // SuiteNames lists workload names of a suite (or all for "all").

@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"r3dla/internal/core"
-	"r3dla/internal/emu"
 	"r3dla/internal/pipeline"
 	"r3dla/internal/stats"
 )
 
 // Table3 regenerates Table III: L1 MPKI split between strided and
-// non-strided accesses under BL, BL+stride, DLA, and DLA+T1.
+// non-strided accesses under BL, BL+stride, DLA, and DLA+T1. A miss is an
+// MT load supplied from L2 or beyond; strided PCs are the ones the
+// training profile marks (core.Results.MTStridedL1Misses).
 func Table3(c *Context) *Report {
 	cfgs := []struct {
 		name string
@@ -24,47 +25,18 @@ func Table3(c *Context) *Report {
 
 	names := SuiteNames("all")
 	type mpki struct{ strided, others float64 }
-	// Strided classification from the training profile, once per workload.
-	classify := make([]map[int]bool, len(names))
-	c.ParallelEach(len(names), func(wi int) {
-		p := c.Prep(names[wi])
-		stridedPC := make(map[int]bool)
-		for pc := range p.Prog.Insts {
-			if p.Prog.Insts[pc].Op.IsLoad() && p.Prof.PCs[pc].Strided() {
-				stridedPC[pc] = true
-			}
-		}
-		classify[wi] = stridedPC
-	})
-	// per[workload][config]; the instrumented runs are not memoizable (they
-	// hook the MT load path), so each (workload, config) pair is its own
-	// pool task.
+	// per[workload][config]
 	per := make([][]mpki, len(names))
 	for i := range per {
 		per[i] = make([]mpki, len(cfgs))
 	}
 	c.ParallelEach(len(names)*len(cfgs), func(k int) {
 		wi, ci := k/len(cfgs), k%len(cfgs)
-		p := c.Prep(names[wi])
-		stridedPC := classify[wi]
-		c.Do(func() {
-			var sMiss, oMiss uint64
-			sys := core.NewSystemWithMemory(p.Prog, p.Image().Fork(), p.Set, p.Prof, cfgs[ci].opt)
-			prev := sys.MTLoadHook()
-			sys.SetMTLoadHook(func(d *emu.DynInst, level int, done, now uint64) {
-				prev(d, level, done, now)
-				if level >= 2 {
-					if stridedPC[d.PC] {
-						sMiss++
-					} else {
-						oMiss++
-					}
-				}
-			})
-			r := sys.Run(c.Budget)
-			kinsts := float64(r.MT.Committed) / 1000
-			per[wi][ci] = mpki{float64(sMiss) / kinsts, float64(oMiss) / kinsts}
-		})
+		r := c.RunCached(c.Prep(names[wi]), cfgs[ci].opt)
+		hits := r.MT.LoadLevelHits
+		kinsts := float64(r.MT.Committed) / 1000
+		others := hits[2] + hits[3] + hits[4] - r.MTStridedL1Misses
+		per[wi][ci] = mpki{float64(r.MTStridedL1Misses) / kinsts, float64(others) / kinsts}
 	})
 
 	t := &stats.Table{
@@ -125,16 +97,14 @@ func Fig13a(c *Context) *Report {
 		Header: append([]string{"config"}, suiteOrder...),
 	}
 	// Over baseline: plain core, fetch buffer 8 vs 32 (own predictor).
+	// Not Options.FetchBuffer: that is the BOQ-driven buffer, which needs
+	// a look-ahead thread.
+	cfg := pipeline.DefaultConfig()
+	cfg.FetchBufSize = 32
 	vals := perSuite(c, func(p *Prepared) float64 {
-		var ipc float64
-		c.Do(func() {
-			cfg := pipeline.DefaultConfig()
-			base := BaselineMetricsOn(p, cfg, c.Budget, true)
-			cfg.FetchBufSize = 32
-			fb := BaselineMetricsOn(p, cfg, c.Budget, true)
-			ipc = fb.IPC() / base.IPC()
-		})
-		return ipc
+		base := c.RunCached(p, core.Options{Disable: true, WithBOP: true})
+		fb := c.RunCached(p, core.Options{Disable: true, WithBOP: true, CoreCfg: &cfg})
+		return fb.IPC() / base.IPC()
 	})
 	summarizeSuites(t, "FB over BL", vals)
 	// Over DLA: BOQ-driven.

@@ -44,8 +44,8 @@ func runSMTPair(p *Prepared, budget uint64) float64 {
 
 // Fig11 regenerates Fig. 11: throughput of the wide core (FC), DLA and
 // R3-DLA on two half-cores, and two-copy SMT, all normalized to a single
-// half-core (HC). Workloads are evaluated concurrently; each workload's
-// five design points are sequential within one pool task.
+// half-core (HC). HC, FC and SMT run at half the budget that DLA and
+// R3-DLA run at (DESIGN §4); the memoized runs' keys show each budget.
 func Fig11(c *Context) *Report {
 	half := pipeline.HalfConfig()
 	wide := pipeline.WideConfig()
@@ -61,13 +61,10 @@ func Fig11(c *Context) *Report {
 		p := c.Prep(all[i].Name)
 		budget := c.Budget / 2
 
-		var hcIPC, fcIPC, smt float64
-		c.Do(func() {
-			hc := BaselineMetricsOn(p, half, budget, true)
-			fc := BaselineMetricsOn(p, wide, budget, true)
-			hcIPC, fcIPC = hc.IPC(), fc.IPC()
-			smt = runSMTPair(p, budget)
-		})
+		hcIPC := c.RunShared(p, core.Options{Disable: true, WithBOP: true, CoreCfg: &half}, budget, nil, nil).IPC()
+		fcIPC := c.RunShared(p, core.Options{Disable: true, WithBOP: true, CoreCfg: &wide}, budget, nil, nil).IPC()
+		var smt float64
+		c.Do(func() { smt = runSMTPair(p, budget) })
 
 		dlaOpt := core.DLAOptions()
 		dlaOpt.CoreCfg = &half

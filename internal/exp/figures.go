@@ -4,8 +4,11 @@ import (
 	"fmt"
 
 	"r3dla/internal/analytic"
+	"r3dla/internal/branch"
 	"r3dla/internal/core"
+	"r3dla/internal/emu"
 	"r3dla/internal/limit"
+	"r3dla/internal/memsys"
 	"r3dla/internal/pipeline"
 	"r3dla/internal/stats"
 	"r3dla/internal/workloads"
@@ -71,6 +74,11 @@ func measureSupplyDemand(c *Context, p *Prepared) (demand, supplyIC, supplyTC []
 // to model a trace cache). The three measurement runs are independent and
 // dispatched to the worker pool. The tier package's calibrator runs this
 // at its own (short) calibration budget, so the budget is a parameter.
+//
+// These runs stay outside the run memo: most supply runs deadlock (an
+// infinite backend never resolves a mispredicted branch), and a bare
+// pipeline.Core gives up on a deadlock after a third of the cycles a
+// core.System spends.
 func MeasureSupplyDemand(c *Context, p *Prepared, budget uint64) (demand, supplyIC, supplyTC []float64) {
 	muts := []func(*pipeline.Config){
 		func(cfg *pipeline.Config) { cfg.PerfectFrontend = true; cfg.TrackDemand = true },
@@ -88,7 +96,10 @@ func MeasureSupplyDemand(c *Context, p *Prepared, budget uint64) (demand, supply
 			cfg.FetchWidth = 16   // Appendix B case study: 16-wide I-cache fetch
 			cfg.FetchBufSize = 64 // don't let the buffer cap the supply measure
 			muts[i](&cfg)
-			ms[i] = BaselineMetricsOn(p, cfg, budget, true)
+			feed := &pipeline.MachineFeeder{M: emu.NewMachine(p.Prog, p.Image().Fork())}
+			dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
+			coreC, _ := memsys.NewBaselineCore(cfg, feed, dir, memsys.Options{WithBOP: true})
+			ms[i] = coreC.Run(budget)
 		})
 	})
 	return ms[0].Demand.Dist(), ms[1].Supply.Dist(), ms[2].Supply.Dist()
@@ -149,15 +160,12 @@ func Fig14(c *Context) *Report {
 	model := mustModel(demand, supplyIC)
 	theory := model.QueueDist(32)
 
-	var sim []float64
-	c.Do(func() {
-		cfg := pipeline.DefaultConfig()
-		cfg.FetchWidth = 16
-		cfg.FetchBufSize = 32
-		cfg.TrackFetchQOcc = true
-		m := BaselineMetricsOn(p, cfg, c.Budget/4, true)
-		sim = m.FetchQOcc.Dist()
-	})
+	cfg := pipeline.DefaultConfig()
+	cfg.FetchWidth = 16
+	cfg.FetchBufSize = 32
+	cfg.TrackFetchQOcc = true
+	r := c.RunShared(p, core.Options{Disable: true, WithBOP: true, CoreCfg: &cfg}, c.Budget/4, nil, nil)
+	sim := r.MT.FetchQOcc.Dist()
 
 	t := &stats.Table{
 		Title:  fmt.Sprintf("Fig. 14: fetch buffer occupancy, theory vs simulation (%s)", fbWorkload),

@@ -8,9 +8,11 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"r3dla/internal/lab"
 	"r3dla/internal/sweep"
 )
 
@@ -176,6 +178,23 @@ func TestFleetSweepBackendHardKill(t *testing.T) {
 	}
 }
 
+// gateRunner forwards its first two Run calls to r and holds every later
+// call until that call's context ends, then returns ctx.Err(). A test
+// that cancels after two completed cells then always cancels while cells
+// are still in flight, however the scheduler orders them.
+type gateRunner struct {
+	r     sweep.Runner
+	calls atomic.Int32
+}
+
+func (g *gateRunner) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
+	if g.calls.Add(1) <= 2 {
+		return g.r.Run(ctx, req)
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
 // TestFleetSweepClientKillResume kills the *client* mid-sweep (context
 // cancellation after two checkpointed cells) and resumes through a fresh
 // pool: only the missing cells are dispatched, and the final output is
@@ -209,7 +228,7 @@ func TestFleetSweepClientKillResume(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	completed := 0
-	_, err := sweep.Run(ctx, mkPool(), multiAxisSpec(), sweep.Options{
+	_, err := sweep.Run(ctx, &gateRunner{r: mkPool()}, multiAxisSpec(), sweep.Options{
 		Journal: journal,
 		Progress: func(sweep.Event) {
 			mu.Lock()

@@ -359,7 +359,9 @@ func (l *Lab) FrontendProfile(ctx context.Context, workload string, budget uint6
 
 // CoreIPC runs a standalone single core with an arbitrary pipeline
 // configuration on prepared material (the SMT / wide-vs-half studies)
-// and returns its IPC.
+// and returns its IPC. The run goes through the run memo: with bop set
+// it is the same cell as RunPrepared of the baseline preset
+// WithCores(cfg).
 func (l *Lab) CoreIPC(ctx context.Context, p *Prepared, cfg pipeline.Config, budget uint64, bop bool) (float64, error) {
 	if err := validCoreCfg(cfg); err != nil {
 		return 0, err
@@ -369,10 +371,7 @@ func (l *Lab) CoreIPC(ctx context.Context, p *Prepared, cfg pipeline.Config, bud
 	}
 	var ipc float64
 	err := l.guarded(ctx, func(c *exp.Context) {
-		c.Do(func() {
-			m := exp.BaselineMetricsOn(p, cfg, budget, bop)
-			ipc = m.IPC()
-		})
+		ipc = c.RunShared(p, core.Options{Disable: true, WithBOP: bop, CoreCfg: &cfg}, budget, nil, nil).IPC()
 	})
 	return ipc, err
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"r3dla/internal/pipeline"
 )
 
 func TestPresetConfigs(t *testing.T) {
@@ -269,6 +271,39 @@ func TestLabRunAndCache(t *testing.T) {
 
 	if _, err := l.Run(ctx, RunRequest{Workload: "nope", Config: ConfigSpec{Preset: "dla"}}); !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("unknown workload: %v", err)
+	}
+}
+
+// TestCoreIPCSharesTheRunMemo pins that a standalone-core run is a keyed
+// run: CoreIPC simulates once through the run memo, and the baseline
+// preset on the same core is the same cell, served without a second
+// simulation.
+func TestCoreIPCSharesTheRunMemo(t *testing.T) {
+	l, err := New(WithBudget(3_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	p, err := l.Prepare(ctx, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ipc, err := l.CoreIPC(ctx, p, pipeline.HalfConfig(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.RunCount(); n != 1 {
+		t.Fatalf("CoreIPC executed %d memoized simulations, want 1", n)
+	}
+	r, err := l.RunPrepared(ctx, p, MustConfig(Baseline, WithCores(pipeline.HalfConfig())), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.RunCount(); n != 1 {
+		t.Fatalf("the baseline preset on the half core re-simulated: %d memoized simulations, want 1", n)
+	}
+	if r.IPC != ipc {
+		t.Fatalf("RunPrepared IPC %v, CoreIPC %v: want the same cell", r.IPC, ipc)
 	}
 }
 

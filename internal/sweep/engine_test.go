@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"r3dla/internal/lab"
@@ -70,6 +71,23 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
+// gateRunner forwards its first two Run calls to r and holds every later
+// call until that call's context ends, then returns ctx.Err(). A test
+// that cancels after two completed cells then always cancels while cells
+// are still in flight, however the scheduler orders them.
+type gateRunner struct {
+	r     Runner
+	calls atomic.Int32
+}
+
+func (g *gateRunner) Run(ctx context.Context, req lab.RunRequest) (*lab.RunResult, error) {
+	if g.calls.Add(1) <= 2 {
+		return g.r.Run(ctx, req)
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
 // TestSweepJournalAndResume kills a sweep partway (context cancellation
 // after two completed cells), then resumes from the journal on a fresh
 // Lab: the journaled cells must not re-execute (RunCount/PrepCount), and
@@ -82,7 +100,7 @@ func TestSweepJournalAndResume(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	completed := 0
-	_, err := Run(ctx, newTestLab(t, 2), testSpec(), Options{
+	_, err := Run(ctx, &gateRunner{r: newTestLab(t, 2)}, testSpec(), Options{
 		Journal: journal,
 		Progress: func(ev Event) {
 			mu.Lock()

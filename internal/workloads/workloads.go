@@ -10,6 +10,7 @@ package workloads
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"r3dla/internal/emu"
@@ -17,6 +18,9 @@ import (
 )
 
 // Workload is one benchmark: a program builder and its data initializer.
+// The registry builds each Workload once and All, BySuite and ByName
+// share those values, so they are read-only: never write through a
+// *Workload they return.
 type Workload struct {
 	Name  string
 	Suite string // "spec", "crono", "star", "npb"
@@ -26,20 +30,17 @@ type Workload struct {
 // Suites lists the suite names in the paper's presentation order.
 var Suites = []string{"spec", "crono", "star", "npb"}
 
-// All returns every workload in deterministic order.
-func All() []*Workload {
-	var out []*Workload
-	out = append(out, specSuite()...)
-	out = append(out, cronoSuite()...)
-	out = append(out, starSuite()...)
-	out = append(out, npbSuite()...)
-	return out
-}
+// registry is every workload in deterministic order, built once.
+var registry = slices.Concat(specSuite(), cronoSuite(), starSuite(), npbSuite())
+
+// All returns every workload in deterministic order. The slice is the
+// caller's own; the workloads are shared.
+func All() []*Workload { return slices.Clone(registry) }
 
 // BySuite returns the workloads of one suite.
 func BySuite(suite string) []*Workload {
 	var out []*Workload
-	for _, w := range All() {
+	for _, w := range registry {
 		if w.Suite == suite {
 			out = append(out, w)
 		}
@@ -47,9 +48,10 @@ func BySuite(suite string) []*Workload {
 	return out
 }
 
-// ByName returns the named workload or nil.
+// ByName returns the named workload or nil, without allocating (the
+// service validates every /v1/runs request's workload through it).
 func ByName(name string) *Workload {
-	for _, w := range All() {
+	for _, w := range registry {
 		if w.Name == name {
 			return w
 		}

@@ -163,3 +163,16 @@ func TestWorkloadBehaviourClasses(t *testing.T) {
 }
 
 var _ = isa.NOP // keep the import for builders referenced in tests
+
+var sinkWorkload *Workload
+
+// TestByNameAllocs pins that a workload lookup reads the registry built
+// at start-up instead of rebuilding all 25 workloads per call: the
+// service pays one lookup on every /v1/runs request.
+func TestByNameAllocs(t *testing.T) {
+	for _, name := range []string{"mcf", "no-such-workload"} {
+		if n := testing.AllocsPerRun(100, func() { sinkWorkload = ByName(name) }); n != 0 {
+			t.Errorf("ByName(%q) allocates %v times per call, want 0", name, n)
+		}
+	}
+}
