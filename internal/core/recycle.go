@@ -14,8 +14,7 @@ type Recycle struct {
 	NumVersions int
 	TrialInsts  uint64 // committed MT instructions measured per version
 
-	lct     lct
-	loopSet map[int]bool // PCs treated as loop branches
+	lct lct
 
 	cur     int // active skeleton version
 	curLoop int // current loop branch PC (-1 = none)
@@ -72,6 +71,17 @@ func (t *lct) lookup(loopPC int) (int, bool) {
 	return 0, false
 }
 
+// table copies the valid entries out as a loop->version map.
+func (t *lct) table() map[int]int {
+	out := make(map[int]int)
+	for _, e := range t.entries {
+		if e.valid {
+			out[e.loopPC] = e.version
+		}
+	}
+	return out
+}
+
 func (t *lct) insert(loopPC, version int) {
 	t.clock++
 	vi := 0
@@ -88,16 +98,15 @@ func (t *lct) insert(loopPC, version int) {
 }
 
 // NewRecycle builds a controller over numVersions skeletons. onSwitch is
-// invoked whenever the active version changes; onNewLoop whenever a new
-// loop is entered (the system uses it to reset SIF training).
-func NewRecycle(numVersions int, loopSet map[int]bool, onSwitch func(int), onNewLoop func(int)) *Recycle {
+// invoked whenever the active version changes; onNewLoop, when non-nil,
+// whenever a new loop is entered.
+func NewRecycle(numVersions int, onSwitch func(int), onNewLoop func(int)) *Recycle {
 	return &Recycle{
 		NumVersions: numVersions,
 		// Each version must run well past the BOQ's look-ahead depth
 		// (512 basic blocks) for the measurement to reflect it, not its
 		// predecessor's queued-up benefit.
-		TrialInsts: 4000,
-		loopSet:    loopSet,
+		TrialInsts: DefaultTrialInsts,
 		curLoop:    -1,
 		trials:     make(map[int]*trialState),
 		UseInsts:   make([]uint64, numVersions),
@@ -113,9 +122,6 @@ func (r *Recycle) Preload(loopPC, version int) {
 
 // Current reports the active skeleton version.
 func (r *Recycle) Current() int { return r.cur }
-
-// InLoopSet reports whether pc is treated as a loop branch.
-func (r *Recycle) InLoopSet(pc int) bool { return r.loopSet[pc] }
 
 func (r *Recycle) switchTo(v int, m measure) {
 	r.account(m)
@@ -138,7 +144,7 @@ func (r *Recycle) account(m measure) {
 	r.lastUse = m
 }
 
-// OnLoopBranch is called at MT commit of any PC in the loop set, with the
+// OnLoopBranch is called at MT commit of any PC in LoopSet, with the
 // MT's running committed-instruction and cycle counters.
 func (r *Recycle) OnLoopBranch(pc int, committed, cycles uint64) {
 	m := measure{committed, cycles}

@@ -18,7 +18,7 @@ func (d *rcDriver) iterate(loopPC int, insts uint64, ipc float64) {
 
 func TestRecycleSweepsAllVersionsAndPicksFastest(t *testing.T) {
 	var switches []int
-	rc := NewRecycle(3, map[int]bool{100: true}, func(v int) { switches = append(switches, v) }, nil)
+	rc := NewRecycle(3, func(v int) { switches = append(switches, v) }, nil)
 	rc.TrialInsts = 100
 
 	// Version speeds: v0 slow, v1 fastest, v2 middling.
@@ -36,7 +36,7 @@ func TestRecycleSweepsAllVersionsAndPicksFastest(t *testing.T) {
 }
 
 func TestRecycleUsesLCTOnRevisit(t *testing.T) {
-	rc := NewRecycle(2, map[int]bool{1: true, 2: true}, nil, nil)
+	rc := NewRecycle(2, nil, nil)
 	rc.TrialInsts = 50
 	speed := map[int]float64{0: 1.0, 1: 3.0}
 	d := &rcDriver{rc: rc}
@@ -60,7 +60,7 @@ func TestRecycleUsesLCTOnRevisit(t *testing.T) {
 }
 
 func TestRecycleResumesInterruptedTrial(t *testing.T) {
-	rc := NewRecycle(4, map[int]bool{1: true, 2: true}, nil, nil)
+	rc := NewRecycle(4, nil, nil)
 	rc.TrialInsts = 100
 	d := &rcDriver{rc: rc}
 	// Partial trial on loop 1 (not enough insts to finish a version).
@@ -81,7 +81,7 @@ func TestRecycleResumesInterruptedTrial(t *testing.T) {
 
 func TestRecycleStaticModeNeverTrials(t *testing.T) {
 	var switches []int
-	rc := NewRecycle(6, map[int]bool{1: true}, func(v int) { switches = append(switches, v) }, nil)
+	rc := NewRecycle(6, func(v int) { switches = append(switches, v) }, nil)
 	rc.Static = true
 	rc.Preload(1, 4)
 	d := &rcDriver{rc: rc}
@@ -97,7 +97,7 @@ func TestRecycleStaticModeNeverTrials(t *testing.T) {
 }
 
 func TestRecycleAccountsUsage(t *testing.T) {
-	rc := NewRecycle(2, map[int]bool{1: true}, nil, nil)
+	rc := NewRecycle(2, nil, nil)
 	rc.TrialInsts = 100
 	d := &rcDriver{rc: rc}
 	for i := 0; i < 40; i++ {
@@ -115,8 +115,7 @@ func TestRecycleAccountsUsage(t *testing.T) {
 
 func TestRecycleNewLoopCallback(t *testing.T) {
 	var loops []int
-	rc := NewRecycle(2, map[int]bool{1: true, 2: true},
-		nil, func(pc int) { loops = append(loops, pc) })
+	rc := NewRecycle(2, nil, func(pc int) { loops = append(loops, pc) })
 	d := &rcDriver{rc: rc}
 	d.iterate(1, 10, 1)
 	d.iterate(1, 10, 1)

@@ -18,6 +18,8 @@ import (
 
 // Options selects the DLA system configuration. The zero value is the
 // baseline DLA of Sec. III-A; enabling all four R3 flags yields R3-DLA.
+// SlipStreamOptions, CREOptions and BFetchOptions select the designs
+// Fig. 9-b compares against instead.
 type Options struct {
 	T1          bool        // reduce: offload strided prefetch to the T1 FSM
 	ValueReuse  bool        // reuse: SIF-filtered value predictions through the VQ
@@ -40,7 +42,7 @@ type Options struct {
 	FQSize     int    // default DefaultFQSize (prefetch + indirect hints)
 	VQSize     int    // default DefaultVQSize (value payloads)
 	RebootCost uint64 // default DefaultRebootCost cycles
-	TrialInsts uint64 // recycle measurement window (default 4000)
+	TrialInsts uint64 // recycle measurement window (default DefaultTrialInsts)
 
 	CoreCfg *pipeline.Config // MT core; nil = Table I default
 	LTCfg   *pipeline.Config // LT core; nil = same as CoreCfg
@@ -54,7 +56,23 @@ type Options struct {
 	// Disable spawns no look-ahead thread at all; the MT runs alone on
 	// its own predictor (used by harness baselines sharing this driver).
 	Disable bool
+
+	design design // a Fig. 9-b comparator; set only by its constructor
 }
+
+// design selects one of the designs Fig. 9-b compares against, which
+// NewSystemWithMemory then builds instead of a DLA system. A byte fits
+// in Options' trailing padding, so the struct keeps its size.
+type design uint8
+
+const (
+	designDLA design = iota
+	designSlipStream
+	designCRE
+	designBFetch
+)
+
+var designNames = [...]string{designSlipStream: "slipstream", designCRE: "cre", designBFetch: "bfetch"}
 
 // The DLA sizings of Table I. A zero size in Options means its default;
 // the estimator tiers and Table I read the same constants.
@@ -62,8 +80,9 @@ const (
 	DefaultBOQSize    = 512
 	DefaultFQSize     = 128
 	DefaultVQSize     = 32
-	DefaultRebootCost = 64 // cycles
-	FetchBufferSize   = 32 // MT fetch-buffer entries when FetchBuffer is on
+	DefaultRebootCost = 64   // cycles
+	FetchBufferSize   = 32   // MT fetch-buffer entries when FetchBuffer is on
+	DefaultTrialInsts = 4000 // committed MT instructions per recycle trial
 )
 
 func (o *Options) fill() {
@@ -114,6 +133,9 @@ func (o Options) Key() string {
 	if o.LTCfg != nil {
 		fmt.Fprintf(&b, ",ltcore={%+v}", *o.LTCfg)
 	}
+	if o.design != designDLA {
+		b.WriteString(",design=" + designNames[o.design])
+	}
 	return b.String()
 }
 
@@ -126,6 +148,32 @@ func R3Options() Options {
 // paper's default comparison).
 func DLAOptions() Options {
 	return Options{WithBOP: true}
+}
+
+// SlipStreamOptions returns the SlipStream comparator of Fig. 9-b: the
+// leader thread runs the A-stream (GenerateSlipstream) instead of the
+// DLA skeleton.
+func SlipStreamOptions() Options {
+	return Options{WithBOP: true, design: designSlipStream}
+}
+
+// CREOptions returns the Continuous Runahead Engine comparator of Fig.
+// 9-b: chains of delinquent loads (GenerateCRE) prefetching into the MT's
+// L1, with no branch outcome delivery. The helper runs on a small
+// runahead engine (the original is a 2-wide, 32-entry buffer at the
+// memory controller), not a full core.
+func CREOptions() Options {
+	engine := pipeline.DefaultConfig()
+	engine.FetchWidth, engine.DecodeWidth, engine.IssueWidth, engine.CommitWidth = 4, 2, 2, 2
+	engine.ROB, engine.LSQ = 32, 16
+	engine.IntFUs, engine.MemFUs, engine.FPFUs = 2, 2, 1
+	return Options{WithBOP: true, PrefetchOnly: true, LTCfg: &engine, design: designCRE}
+}
+
+// BFetchOptions returns the B-Fetch comparator of Fig. 9-b: the baseline
+// core (BL+BOP) with a B-Fetch prefetcher at its L1D.
+func BFetchOptions() Options {
+	return Options{Disable: true, WithBOP: true, design: designBFetch}
 }
 
 // Results is a DLA run's observables, snapshotted when the run ends. It
@@ -154,6 +202,11 @@ type Results struct {
 	MTMem, LTMem memsys.Stats // each core's private L1I/L1D/L2 counters
 	L3           cache.Stats
 	DRAM         dram.Stats
+
+	// LCT is the recycle controller's loop->version table when the run
+	// ends, nil without one. Fig. 13-b learns it on the training input and
+	// preloads it as StaticLCT.
+	LCT map[int]int
 }
 
 // IPC reports the MT (architectural) IPC.
@@ -222,7 +275,9 @@ type System struct {
 const watchdogWindow = 15_000
 
 // NewSystem builds a DLA system for prog. setup initializes data memory;
-// set/prof come from Generate/Collect on the training input.
+// set/prof come from Generate/Collect on the training input. The
+// SlipStream and CRE designs build their own leader set from prog and
+// prof instead of set.
 func NewSystem(prog *isa.Program, setup func(*emu.Memory), set *Set, prof *Profile, opt Options) *System {
 	base := emu.NewMemory()
 	if setup != nil {
@@ -250,6 +305,12 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 	if opt.ValueReuse {
 		mtCfg.SkipValidation = true
 	}
+	switch opt.design {
+	case designSlipStream:
+		set = GenerateSlipstream(prog, prof)
+	case designCRE:
+		set = GenerateCRE(prog, prof)
+	}
 
 	s := &System{opt: opt, prog: prog, set: set, prof: prof, sifLoop: -1}
 
@@ -268,18 +329,22 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 	s.sif = NewSIF(8)
 	s.sifInserted = make([]uint32, len(prog.Insts))
 	s.sifGen = 1
-	loopSet := LoopSet(prog, prof)
 	s.loopMask = make([]bool, len(prog.Insts))
-	for pc := range loopSet {
+	for pc := range LoopSet(prog, prof) {
 		s.loopMask[pc] = true
 	}
 
 	// Main thread core.
 	s.mtFeed = &pipeline.MachineFeeder{M: s.mtMach}
 	var mtDir pipeline.DirectionSource
-	if opt.Disable {
+	var bf *bFetch
+	switch {
+	case opt.design == designBFetch:
+		bf = newBFetch(&pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}, s.mtMem.L1D)
+		mtDir = bf
+	case opt.Disable:
 		mtDir = &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
-	} else {
+	default:
 		mtDir = &boqSource{s: s, fallback: &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}}
 	}
 	s.mt = pipeline.New(mtCfg, s.mtFeed, mtDir, s.mtMem.L1I, s.mtMem.L1D)
@@ -295,6 +360,13 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 		}
 		if s.prof.PCs[d.PC].Strided() {
 			s.res.MTStridedL1Misses++
+		}
+	}
+	if bf != nil {
+		inner := s.mt.Hooks.OnLoadAccess
+		s.mt.Hooks.OnLoadAccess = func(d *emu.DynInst, level int, done, now uint64) {
+			inner(d, level, done, now)
+			bf.train(d)
 		}
 	}
 	s.mt.Hooks.OnCommit = s.onMTCommit
@@ -336,7 +408,7 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 		s.t1 = NewT1(16, s.mtMem.L1D)
 	}
 	if opt.Recycle || opt.StaticLCT != nil {
-		s.rc = NewRecycle(len(set.Versions), loopSet, s.onSkeletonSwitch, s.onNewLoop)
+		s.rc = NewRecycle(len(set.Versions), s.onSkeletonSwitch, nil)
 		if opt.TrialInsts > 0 {
 			s.rc.TrialInsts = opt.TrialInsts
 		}
@@ -567,10 +639,6 @@ func (s *System) onSkeletonSwitch(version int) {
 	}
 }
 
-func (s *System) onNewLoop(loopPC int) {
-	// SIF handling is driven from onLoopBranchCommit; nothing extra here.
-}
-
 // ltDead reports whether the look-ahead thread can produce no more
 // outcomes (its feeder is drained — program halted, walked off the
 // skeleton, or the skeleton is empty — and the BOQ is dry): the MT falls
@@ -662,22 +730,6 @@ func (s *System) RunContext(ctx context.Context, budget uint64) (*Results, error
 	return s.Results(), nil
 }
 
-// LCTSnapshot exports the recycle controller's learned loop->version
-// decisions (the offline/static tuning path trains on one input and
-// preloads these on another).
-func (s *System) LCTSnapshot() map[int]int {
-	out := make(map[int]int)
-	if s.rc == nil {
-		return out
-	}
-	for _, e := range s.rc.lct.entries {
-		if e.valid {
-			out[e.loopPC] = e.version
-		}
-	}
-	return out
-}
-
 // Results snapshots the run's observables into a Results that shares no
 // memory with s.
 func (s *System) Results() *Results {
@@ -697,6 +749,7 @@ func (s *System) Results() *Results {
 	if s.rc != nil {
 		s.rc.Finish(s.mt.M.Committed, s.mt.M.Cycles)
 		r.SkeletonUse = slices.Clone(s.rc.UseInsts)
+		r.LCT = s.rc.lct.table()
 	}
 	r.MTMem, r.LTMem = s.mtMem.Stats(), s.ltMem.Stats()
 	r.L3, r.DRAM = s.shared.L3.Stats, s.shared.DRAM.Stats

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"slices"
 	"sync"
@@ -257,7 +258,7 @@ func TestResultsAreDetached(t *testing.T) {
 	r := sys.Run(testBudget / 2)
 	want := *r
 	mt, lt := *r.MT, *r.LT
-	want.MT, want.LT, want.SkeletonUse = &mt, &lt, slices.Clone(r.SkeletonUse)
+	want.MT, want.LT, want.SkeletonUse, want.LCT = &mt, &lt, slices.Clone(r.SkeletonUse), maps.Clone(r.LCT)
 	if later := sys.Run(testBudget); later.MT.Committed <= mt.Committed {
 		t.Fatalf("the continued run committed nothing more (%d)", later.MT.Committed)
 	}

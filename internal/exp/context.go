@@ -178,10 +178,9 @@ func (c *Context) abort(err error) {
 // Do runs f on the worker pool: it blocks for a slot (respecting Jobs),
 // runs f, and releases the slot. Prep and RunCached acquire a slot
 // themselves; Do is for compute-heavy leaf work that no core.Options
-// value describes (the limit study, rival helpers, the SMT pair, the
-// static-LCT training run and the Appendix-B supply/demand runs). f must
-// not call Do, Prep or RunCached — nested acquisition would deadlock a
-// one-slot pool.
+// value describes (Fig. 1's limit study, Fig. 11's SMT pair and the
+// Appendix-B supply/demand runs). f must not call Do, Prep or RunCached
+// — nested acquisition would deadlock a one-slot pool.
 func (c *Context) Do(f func()) {
 	c.checkCanceled()
 	c.state.semOnce.Do(c.initSem)
@@ -316,6 +315,20 @@ func (p *Prepared) Image() *emu.Memory {
 		p.img = m
 	})
 	return p.img
+}
+
+// Train returns the workload's training input, prepared with the
+// workload's own profile and named "<workload>/train", so its runs are
+// keyed apart from the evaluation input's. Fig. 13-b learns its static
+// LCT on it. Each call builds a new Prepared: the run memo keeps a run's
+// Results, and the training image goes with its Prepared instead of
+// living as long as p. The Lab checks workload names against the
+// registry, so no request reaches it.
+func (p *Prepared) Train() *Prepared {
+	w := *p.W
+	w.Name += "/train"
+	prog, setup := p.W.Build(TrainSeed)
+	return &Prepared{W: &w, Prog: prog, Setup: setup, Prof: p.Prof, Set: core.Generate(prog, p.Prof)}
 }
 
 // Prep profiles and generates skeletons for one workload. Preparation is

@@ -117,6 +117,11 @@ func Fig13a(c *Context) *Report {
 	return NewReport(t)
 }
 
+// trainOptions is Fig. 13-b's training run: online recycling with the
+// controller's own trial window, which RunDLAAt would otherwise scale
+// with the budget.
+var trainOptions = core.Options{WithBOP: true, Recycle: true, TrialInsts: core.DefaultTrialInsts}
+
 // Fig13b regenerates Fig. 13-b: dynamic (online) vs static (training-
 // input) recycle tuning, normalized to plain DLA.
 func Fig13b(c *Context) *Report {
@@ -132,17 +137,9 @@ func Fig13b(c *Context) *Report {
 	summarizeSuites(t, "Dynamic", vals)
 	vals = perSuite(c, func(p *Prepared) float64 {
 		dla := c.RunCached(p, core.DLAOptions())
-		// Train the LCT on the training input, then run statically.
-		var lct map[int]int
-		c.Do(func() {
-			trainProg, trainSetup := p.W.Build(TrainSeed)
-			trainSet := core.Generate(trainProg, p.Prof)
-			trainSys := core.NewSystem(trainProg, trainSetup, trainSet, p.Prof,
-				core.Options{WithBOP: true, Recycle: true})
-			trainSys.Run(c.Budget / 2)
-			lct = trainSys.LCTSnapshot()
-		})
-		st := c.RunCached(p, core.Options{WithBOP: true, StaticLCT: lct})
+		// Learn the LCT on the training input, then preload it.
+		train := c.RunShared(p.Train(), trainOptions, c.Budget/2, nil, nil)
+		st := c.RunCached(p, core.Options{WithBOP: true, StaticLCT: train.LCT})
 		return st.IPC() / dla.IPC()
 	})
 	summarizeSuites(t, "Static", vals)

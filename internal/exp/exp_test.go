@@ -100,3 +100,73 @@ func TestSuiteNames(t *testing.T) {
 		t.Fatal("crono suite wrong size")
 	}
 }
+
+// TestComparatorsAndTrainingAreKeyedRuns: Fig. 9-b's three comparators
+// and Fig. 13-b's training-input run are memoized runs like any other.
+// Each simulates once however often it is asked for, under a key no
+// other run shares, and only a run with a recycle controller reports an
+// LCT.
+func TestComparatorsAndTrainingAreKeyedRuns(t *testing.T) {
+	c := NewContext(2_000)
+	p := c.Prep("mcf")
+	runs := []struct {
+		p      *Prepared
+		opt    core.Options
+		budget uint64
+	}{
+		{p, core.BFetchOptions(), c.Budget},
+		{p, core.SlipStreamOptions(), c.Budget},
+		{p, core.CREOptions(), c.Budget},
+		{p.Train(), trainOptions, c.Budget / 2},
+	}
+	keys := map[string]bool{
+		RunKey(p.W.Name, core.DLAOptions(), c.Budget):                          true,
+		RunKey(p.W.Name, core.Options{Disable: true, WithBOP: true}, c.Budget): true,
+	}
+	for i, r := range runs {
+		key := RunKey(r.p.W.Name, r.opt, r.budget)
+		if keys[key] {
+			t.Errorf("%s is already another run's key", key)
+		}
+		keys[key] = true
+		first := c.RunShared(r.p, r.opt, r.budget, nil, nil)
+		for range 2 {
+			if again := c.RunShared(r.p, r.opt, r.budget, nil, nil); again != first {
+				t.Errorf("%s: asking again returned another Results", key)
+			}
+		}
+		if n := c.RunCount(); n != i+1 {
+			t.Errorf("%s: %d simulations after %d distinct runs", key, n, i+1)
+		}
+	}
+	if lct := c.RunShared(p.Train(), trainOptions, c.Budget/2, nil, nil).LCT; lct == nil {
+		t.Error("the training run reports no LCT")
+	}
+	if lct := c.RunCached(p, core.DLAOptions()).LCT; lct != nil {
+		t.Errorf("a run without recycling reports LCT %v", lct)
+	}
+}
+
+// TestOptionKeysKeepTheirBytes pins the keys result stores, journals and
+// RunResult.config persist: the comparators' design renders only when
+// set, so no other configuration's key moves.
+func TestOptionKeysKeepTheirBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  core.Options
+		want string
+	}{
+		{"zero", core.Options{},
+			"t1=false,vr=false,fb=false,rc=false,bop=false,stride=false,po=false,dis=false,boq=0,fq=0,vq=0,reboot=0,trial=0"},
+		{"DLA", core.DLAOptions(),
+			"t1=false,vr=false,fb=false,rc=false,bop=true,stride=false,po=false,dis=false,boq=0,fq=0,vq=0,reboot=0,trial=0"},
+		{"R3-DLA", core.R3Options(),
+			"t1=true,vr=true,fb=true,rc=true,bop=true,stride=false,po=false,dis=false,boq=0,fq=0,vq=0,reboot=0,trial=0"},
+		{"BL+BOP", core.Options{Disable: true, WithBOP: true},
+			"t1=false,vr=false,fb=false,rc=false,bop=true,stride=false,po=false,dis=true,boq=0,fq=0,vq=0,reboot=0,trial=0"},
+	} {
+		if got := tc.opt.Key(); got != tc.want {
+			t.Errorf("%s key = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

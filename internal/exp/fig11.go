@@ -21,9 +21,7 @@ func runSMTPair(p *Prepared, budget uint64) float64 {
 	half := pipeline.HalfConfig()
 
 	mk := func() *pipeline.Core {
-		mem := emu.NewMemory()
-		p.Setup(mem)
-		mach := emu.NewMachine(p.Prog, mem)
+		mach := emu.NewMachine(p.Prog, p.Image().Fork())
 		feed := &pipeline.MachineFeeder{M: mach}
 		dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
 		c := pipeline.New(half, feed, dir, priv.L1I, priv.L1D)

@@ -5,7 +5,6 @@ import (
 
 	"r3dla/internal/core"
 	"r3dla/internal/energy"
-	"r3dla/internal/rival"
 	"r3dla/internal/stats"
 )
 
@@ -104,41 +103,29 @@ func Fig9a(c *Context) *Report {
 // SlipStream, CRE, DLA and R3-DLA.
 func Fig9b(c *Context) *Report {
 	base := baselineIPC(c)
-	runners := []struct {
+	designs := []struct {
 		name string
-		f    func(p *Prepared) float64
+		opt  core.Options
 	}{
-		{"B-Fetch", func(p *Prepared) float64 {
-			var ipc float64
-			c.Do(func() { ipc = rival.RunBFetch(p.Prog, p.Setup, c.Budget).IPC() })
-			return ipc
-		}},
-		{"S-Stream", func(p *Prepared) float64 {
-			var ipc float64
-			c.Do(func() { ipc = rival.RunSlipStream(p.Prog, p.Setup, p.Prof, c.Budget).IPC() })
-			return ipc
-		}},
-		{"CRE", func(p *Prepared) float64 {
-			var ipc float64
-			c.Do(func() { ipc = rival.RunCRE(p.Prog, p.Setup, p.Prof, c.Budget).IPC() })
-			return ipc
-		}},
-		{"DLA", func(p *Prepared) float64 { return c.RunCached(p, core.DLAOptions()).IPC() }},
-		{"R3-DLA", func(p *Prepared) float64 { return c.RunCached(p, core.R3Options()).IPC() }},
+		{"B-Fetch", core.BFetchOptions()},
+		{"S-Stream", core.SlipStreamOptions()},
+		{"CRE", core.CREOptions()},
+		{"DLA", core.DLAOptions()},
+		{"R3-DLA", core.R3Options()},
 	}
 	t := &stats.Table{
 		Title:  "Fig. 9-b: all-suite speedup over BL+BOP",
 		Header: []string{"design", "speedup (geomean)", "range"},
 	}
 	names := SuiteNames("all")
-	for _, r := range runners {
-		ipcs := eachWorkload(c, r.f)
+	for _, d := range designs {
+		ipcs := eachWorkload(c, func(p *Prepared) float64 { return c.RunCached(p, d.opt).IPC() })
 		var vals []float64
 		for i, name := range names {
 			vals = append(vals, ipcs[i]/base[name])
 		}
 		lo, hi := stats.MinMax(vals)
-		t.AddRow(r.name, fmt.Sprintf("%.2f", stats.Geomean(vals)), fmt.Sprintf("[%.2f-%.2f]", lo, hi))
+		t.AddRow(d.name, fmt.Sprintf("%.2f", stats.Geomean(vals)), fmt.Sprintf("[%.2f-%.2f]", lo, hi))
 	}
 	return NewReport(t)
 }

@@ -93,9 +93,10 @@ func TestReportGoldenCSV(t *testing.T) {
 // and the concatenated text reports must match
 // testdata/experiments@2000.txt byte for byte. The file holds exactly
 // what `r3dla -exp all -budget 2000 -q` prints. The drivers name their
-// runs by options alone, so the registry simulates each of its 551
-// distinct (workload, options, budget) cells once: 22 configurations on
-// each of the 25 workloads, plus Fig. 14's occupancy run on gobmk.
+// runs by options alone, so the registry simulates each of its 651
+// distinct (workload, options, budget) cells once: 22 configurations and
+// Fig. 9-b's 3 comparators on each of the 25 workloads, Fig. 13-b's 25
+// training-input runs, and Fig. 14's occupancy run on gobmk.
 func TestExperimentsGolden(t *testing.T) {
 	c := NewContext(2_000)
 	ids := make([]string, len(Registry))
@@ -107,7 +108,7 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "experiments@2000.txt", []byte(render(t, res)))
-	if n, want := c.RunCount(), 22*len(SuiteNames("all"))+1; n != want {
+	if n, want := c.RunCount(), 26*len(SuiteNames("all"))+1; n != want {
 		t.Errorf("the registry simulated %d memoized cells, want %d", n, want)
 	}
 }

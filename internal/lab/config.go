@@ -152,8 +152,8 @@ func (c Config) Key() string { return c.opt.Key() }
 
 // RunKey renders the canonical identity of one simulation request
 // (exp.RunKey): the Lab's run memo and result store, the fleet pool's
-// client-side cache, and the sweep/dse checkpoint journals all match on
-// this one string.
+// routing, and the sweep/dse checkpoint journals all match on this one
+// string.
 func RunKey(workload string, cfg Config, budget uint64) string {
 	return exp.RunKey(workload, cfg.opt, budget)
 }

@@ -1,8 +1,7 @@
 // Package prefetch implements the hardware prefetchers used in the paper's
 // evaluation: the Best-Offset Prefetcher (BOP, Michaud HPCA'16) configured
-// as in Table I (256 RR entries, 52 offsets), a per-PC stride prefetcher
-// with degree 4 (the tuned L1 prefetcher in Sec. IV-C1), and a next-line
-// prefetcher used in ablations.
+// as in Table I (256 RR entries, 52 offsets) and a per-PC stride
+// prefetcher with degree 4 (the tuned L1 prefetcher in Sec. IV-C1).
 package prefetch
 
 // bopOffsets are the 52 candidate offsets of the form 2^i * 3^j * 5^k up

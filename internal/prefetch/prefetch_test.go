@@ -144,14 +144,3 @@ func TestStrideSeparatePCs(t *testing.T) {
 		t.Fatalf("stream B prefetch %d, want %d", outB[0], b)
 	}
 }
-
-func TestNextLine(t *testing.T) {
-	n := &NextLine{}
-	if _, ok := n.Observe(10, true); ok {
-		t.Fatal("next-line fired on hit")
-	}
-	p, ok := n.Observe(10, false)
-	if !ok || p != 11 {
-		t.Fatalf("next-line = %d,%v", p, ok)
-	}
-}

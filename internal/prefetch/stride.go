@@ -56,18 +56,3 @@ func (s *Stride) Observe(pc int, addr uint64, out []uint64) []uint64 {
 	}
 	return out
 }
-
-// NextLine prefetches block+1 on every observed miss; the simplest
-// ablation baseline.
-type NextLine struct {
-	Issued uint64
-}
-
-// Observe returns the next block address for a missing block.
-func (n *NextLine) Observe(block uint64, hit bool) (uint64, bool) {
-	if hit {
-		return 0, false
-	}
-	n.Issued++
-	return block + 1, true
-}
