@@ -342,6 +342,20 @@ func BenchmarkEmulator(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadSetup builds all 25 evaluation memories per op: each
+// workload's evaluation build, then its setup into a fresh memory.
+// Memory.Write takes about half of it (46% in one CPU profile), and
+// neither the emulator nor the core benchmarks time the writes.
+func BenchmarkWorkloadSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, w := range r3dla.Workloads() {
+			_, setup := w.Build(exp.EvalSeed)
+			setup(r3dla.NewMemory())
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // The core: one warm-prep cycle-accurate cell per preset, skeleton
 // generation and the queue substrate. CI's speed step holds each of

@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -189,19 +191,20 @@ func TestMemoryReadWrite(t *testing.T) {
 }
 
 // Property: Memory behaves as a map from word addresses to last-written
-// values.
+// values. The addresses fall on four pages and the values on all four
+// widths, so pages fill, widen and are overwritten at every width; raw
+// random uint64s are almost all 64 bits wide and never leave a page
+// narrow.
 func TestMemoryProperty(t *testing.T) {
-	f := func(addrs []uint32, vals []uint64) bool {
+	f := func(addrs []uint32, vals []uint64, widths []uint8) bool {
 		m := NewMemory()
 		ref := map[uint64]uint64{}
-		n := len(addrs)
-		if len(vals) < n {
-			n = len(vals)
-		}
+		n := min(len(addrs), len(vals), len(widths))
 		for i := 0; i < n; i++ {
-			a := uint64(addrs[i]) &^ 7
-			m.Write(a, vals[i])
-			ref[a] = vals[i]
+			a := uint64(addrs[i]) % (4 << (pageShift + 3)) &^ 7
+			v := vals[i] >> (64 - 8<<(widths[i]&3))
+			m.Write(a, v)
+			ref[a] = v
 		}
 		for a, v := range ref {
 			if m.Read(a) != v {
@@ -212,6 +215,169 @@ func TestMemoryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pageBits returns the width, in bits a word, of the page holding addr.
+func pageBits(m *Memory, addr uint64) int {
+	return 64 >> m.pages[addr>>(pageShift+3)].sh
+}
+
+// TestMemoryWidths walks one page through every widening: each value
+// below is the largest of its width or the smallest of the next, written
+// to its own scattered word. Every earlier word must survive each
+// repacking, and a smaller value later overwrites a wide word exactly.
+func TestMemoryWidths(t *testing.T) {
+	const base = 5 << (pageShift + 3)
+	m := NewMemory()
+	steps := []struct {
+		word uint64
+		v    uint64
+		bits int
+	}{
+		{0, 0xff, 8},
+		{4095, 0x100, 16},
+		{1, 0xffff, 16},
+		{2048, 0x1_0000, 32},
+		{777, 0xffff_ffff, 32},
+		{3000, 0x1_0000_0000, 64},
+		{1234, ^uint64(0), 64},
+	}
+	for i, s := range steps {
+		m.Write(base+s.word*8, s.v)
+		if got := pageBits(m, base); got != s.bits {
+			t.Fatalf("after writing %#x the page is %d bits wide, want %d", s.v, got, s.bits)
+		}
+		for _, e := range steps[:i+1] {
+			if got := m.Read(base + e.word*8); got != e.v {
+				t.Fatalf("after writing %#x word %d reads %#x, want %#x", s.v, e.word, got, e.v)
+			}
+		}
+		for _, w := range []uint64{2, 3, 4094} {
+			if got := m.Read(base + w*8); got != 0 {
+				t.Fatalf("after writing %#x unwritten word %d reads %#x", s.v, w, got)
+			}
+		}
+	}
+	m.Write(base+1234*8, 7)
+	m.Write(base+3000*8, 0)
+	for _, e := range steps {
+		want := e.v
+		switch e.word {
+		case 1234:
+			want = 7
+		case 3000:
+			want = 0
+		}
+		if got := m.Read(base + e.word*8); got != want {
+			t.Errorf("after narrow overwrites word %d reads %#x, want %#x", e.word, got, want)
+		}
+	}
+	if got := pageBits(m, base); got != 64 {
+		t.Errorf("the page narrowed to %d bits", got)
+	}
+	if m.Footprint() != 1 {
+		t.Errorf("footprint = %d pages, want 1", m.Footprint())
+	}
+}
+
+// TestForkWidensPrivately: a fork copies a page it shares before its
+// first write to it, one that fits the page's width or not, so the image
+// it forked and a sibling fork keep the old words and the old width.
+func TestForkWidensPrivately(t *testing.T) {
+	img := NewMemory()
+	pages := []struct {
+		addr uint64 // the page's first word
+		v    uint64 // its words' value
+		bits int
+	}{
+		{1 << (pageShift + 3), 0xab, 8},
+		{2 << (pageShift + 3), 0xabcd, 16},
+		{3 << (pageShift + 3), 0xabcd_ef01, 32},
+	}
+	for _, p := range pages {
+		for w := uint64(0); w < pageWords; w += 3 {
+			img.Write(p.addr+w*8, p.v)
+		}
+	}
+	fork, sibling := img.Fork(), img.Fork()
+	const wide uint64 = 1<<63 | 5
+	for _, p := range pages {
+		fork.Write(p.addr+10*8, 1)
+		fork.Write(p.addr+9*8, wide)
+	}
+	for _, p := range pages {
+		if got := fork.Read(p.addr + 9*8); got != wide {
+			t.Errorf("%d-bit page: the fork reads %#x, want %#x", p.bits, got, wide)
+		}
+		if got := pageBits(fork, p.addr); got != 64 {
+			t.Errorf("%d-bit page: the fork's copy is %d bits wide, want 64", p.bits, got)
+		}
+		for name, m := range map[string]*Memory{"the image": img, "a sibling fork": sibling, "the fork": fork} {
+			if got := pageBits(m, p.addr); name != "the fork" && got != p.bits {
+				t.Errorf("%d-bit page: %s's page is %d bits wide", p.bits, name, got)
+			}
+			for w := uint64(0); w < 16; w++ {
+				want := uint64(0)
+				switch {
+				case name == "the fork" && w == 9:
+					want = wide
+				case name == "the fork" && w == 10:
+					want = 1
+				case w%3 == 0:
+					want = p.v
+				}
+				if got := m.Read(p.addr + w*8); got != want {
+					t.Errorf("%d-bit page: %s reads %#x at word %d, want %#x", p.bits, name, got, w, want)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentForksOfOneImage: goroutines fork one frozen image at once
+// and each widens the same pages. Under -race this guards the rule the
+// write cache depends on: Read and Fork never write to the Memory they
+// are called on.
+func TestConcurrentForksOfOneImage(t *testing.T) {
+	img := NewMemory()
+	for w := uint64(0); w < 3*pageWords; w += 5 {
+		img.Write(w*8, w&0xff)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := range uint64(4) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := img.Fork()
+			for w := uint64(0); w < 3*pageWords; w += pageWords / 4 {
+				f.Write(w*8, 1<<40|g<<8|w&0xff)
+			}
+			for w := uint64(0); w < 3*pageWords; w++ {
+				old := uint64(0)
+				if w%5 == 0 {
+					old = w & 0xff
+				}
+				want := old
+				if w%(pageWords/4) == 0 {
+					want = 1<<40 | g<<8 | w&0xff
+				}
+				if got := f.Read(w * 8); got != want {
+					errs <- fmt.Sprintf("fork %d reads %#x at word %d, want %#x", g, got, w, want)
+					return
+				}
+				if got := img.Read(w * 8); got != old {
+					errs <- fmt.Sprintf("the image reads %#x at word %d beside fork %d, want %#x", got, w, g, old)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

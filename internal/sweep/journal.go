@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -63,10 +64,18 @@ func loadJournal(path string, faults *faultinject.Plane) (*loadedJournal, error)
 	}
 	defer f.Close()
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		raw := append([]byte(nil), sc.Bytes()...)
+	// Lines are read whole, however long, so a damaged line of any
+	// length lands in bad too.
+	r := bufio.NewReader(f)
+	for done := false; !done; {
+		line, err := r.ReadBytes('\n')
+		switch {
+		case err == io.EOF:
+			done = true // a torn last line has no newline
+		case err != nil:
+			return nil, fmt.Errorf("sweep: journal: %w", err)
+		}
+		raw := bytes.TrimSuffix(bytes.TrimSuffix(line, []byte{'\n'}), []byte{'\r'})
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
@@ -77,9 +86,6 @@ func loadJournal(path string, faults *faultinject.Plane) (*loadedJournal, error)
 		}
 		lj.results[l.Key] = l.Result
 		lj.good = append(lj.good, raw)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: journal: %w", err)
 	}
 	return lj, nil
 }

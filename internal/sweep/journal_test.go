@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -119,6 +120,42 @@ func TestJournalQuarantineMiddleLines(t *testing.T) {
 	if again.Resumed != 8 || again.Quarantined != 0 || l2.RunCount() != 0 {
 		t.Fatalf("post-quarantine resume: resumed=%d quarantined=%d runs=%d",
 			again.Resumed, again.Quarantined, l2.RunCount())
+	}
+}
+
+// TestJournalQuarantinesOverlongLine: a damaged line longer than any
+// line buffer — a 2 MiB run of NULs a crash left in a block — is
+// quarantined like a short one instead of making the journal unloadable,
+// and every intact cell around it resumes.
+func TestJournalQuarantinesOverlongLine(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "sweep.ndjson")
+	if _, err := Run(context.Background(), newTestLab(t, 4), testSpec(), Options{Journal: journal}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	damaged := strings.Repeat("\x00", 2<<20) + "\n"
+	if err := os.WriteFile(journal, []byte(strings.Join(slices.Insert(lines, 4, damaged), "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l := newTestLab(t, 4)
+	res, err := Run(context.Background(), l, testSpec(), Options{Journal: journal, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resumed != 8 || res.Quarantined != 1 || l.RunCount() != 0 {
+		t.Fatalf("resumed=%d quarantined=%d runs=%d, want 8, 1 and 0", res.Resumed, res.Quarantined, l.RunCount())
+	}
+	q, err := os.ReadFile(journal + quarantineExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(q) != damaged {
+		t.Fatalf("quarantine holds %d bytes, want the %d-byte damaged line", len(q), len(damaged))
 	}
 }
 
