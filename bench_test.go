@@ -342,25 +342,42 @@ func BenchmarkEmulator(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadSetup builds all 25 evaluation memories per op: each
-// workload's evaluation build, then its setup into a fresh memory.
-// Memory.Write takes about half of it (46% in one CPU profile), and
-// neither the emulator nor the core benchmarks time the writes.
+// setupAll builds all 25 evaluation memories: each workload's evaluation
+// build, then its setup into a fresh memory.
+func setupAll() {
+	for _, w := range r3dla.Workloads() {
+		_, setup := w.Build(exp.EvalSeed)
+		setup(r3dla.NewMemory())
+	}
+}
+
+// BenchmarkWorkloadSetup is setupAll per op. Memory.Write takes about
+// half of it (46% in one CPU profile), and neither the emulator nor the
+// core benchmarks time the writes.
 func BenchmarkWorkloadSetup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, w := range r3dla.Workloads() {
-			_, setup := w.Build(exp.EvalSeed)
-			setup(r3dla.NewMemory())
-		}
+		setupAll()
+	}
+}
+
+// TestWorkloadSetupAllocs bounds the heap objects of setupAll at
+// 5,020 × 1.10 + 16, the rule TestCoreRunAllocs uses: it made 5,020
+// when this test was written. A graph builder that allocates per vertex
+// fails at once; the CSR graphs' one slice per vertex made 349,080.
+func TestWorkloadSetupAllocs(t *testing.T) {
+	const maxAllocs = 5538
+	if got := testing.AllocsPerRun(2, setupAll); got > maxAllocs {
+		t.Errorf("building the 25 evaluation memories allocates %.0f objects, want <= %d", got, maxAllocs)
 	}
 }
 
 // ---------------------------------------------------------------------
-// The core: one warm-prep cycle-accurate cell per preset, skeleton
-// generation and the queue substrate. CI's speed step holds each of
-// these to a wide ns/op ceiling. The Allocs tests below bound their
-// allocations tightly, since a count does not depend on the runner.
+// The core: one warm-prep cycle-accurate cell per preset, the whole
+// reproduce grid, skeleton generation and the queue substrate. CI's
+// speed step holds each of these but the grid to a wide ns/op ceiling.
+// The Allocs tests below bound their allocations tightly, since a count
+// does not depend on the runner.
 
 // coreBudget is the committed-instruction budget of one CoreRun cell and
 // the Lab budget mcf is prepared at. The CI ceilings were set at it.
@@ -420,6 +437,52 @@ func BenchmarkCoreRun(b *testing.B) {
 			}
 		})
 	}
+}
+
+// gridColumns are the reproduce grid's columns: Fig. 9-a's BL, DLA and
+// R3-DLA, then Fig. 13-c's R3-DLA without T1, value reuse, the fetch
+// buffer and recycling.
+func gridColumns() []core.Options {
+	var cols []core.Options
+	for _, cfg := range []lab.Config{
+		lab.MustConfig(lab.Baseline),
+		lab.MustConfig(lab.DLA),
+		lab.MustConfig(lab.R3),
+		lab.MustConfig(lab.R3, lab.WithT1(false)),
+		lab.MustConfig(lab.R3, lab.WithValueReuse(false)),
+		lab.MustConfig(lab.R3, lab.WithFetchBuffer(false)),
+		lab.MustConfig(lab.R3, lab.WithRecycle(false)),
+	} {
+		cols = append(cols, cfg.SystemOptions())
+	}
+	return cols
+}
+
+// BenchmarkCoreGrid is the reproduce grid at benchBudget: its 7 columns
+// on all 25 workloads per op, one cell at a time through one Context's
+// unmemoized runner. BenchmarkCoreRun times mcf alone; this times the
+// cycle loop over every workload's mix, so a hot-loop change can be
+// sized by alternating two `go test -c` binaries on it. Preparation
+// runs before the timer.
+func BenchmarkCoreGrid(b *testing.B) {
+	ctx := exp.NewContext(benchBudget)
+	ctx.Jobs = 1
+	var preps []*exp.Prepared
+	for _, w := range r3dla.Workloads() {
+		preps = append(preps, ctx.Prep(w.Name))
+	}
+	cols := gridColumns()
+	b.ResetTimer()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		for _, p := range preps {
+			for _, opt := range cols {
+				cycles += ctx.RunDLAAt(p, opt, benchBudget).MT.Cycles
+			}
+		}
+	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "simcycles/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/simcycle")
 }
 
 // BenchmarkSkeletonGen is the binary-analysis pass alone: profile-driven

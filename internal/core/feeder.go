@@ -36,18 +36,18 @@ func (f *SkeletonFeeder) SetSkeleton(s *Skeleton) { f.skel = s }
 // Skeleton reports the active version.
 func (f *SkeletonFeeder) Skeleton() *Skeleton { return f.skel }
 
-// Peek returns the next skeleton instruction.
-func (f *SkeletonFeeder) Peek() (emu.DynInst, bool) {
+// Peek returns the next skeleton instruction, valid until Advance.
+func (f *SkeletonFeeder) Peek() (*emu.DynInst, bool) {
 	if f.have {
-		return f.cur, true
+		return &f.cur, true
 	}
 	if f.Budget > 0 && f.fed >= f.Budget {
-		return emu.DynInst{}, false
+		return nil, false
 	}
 	for !f.M.Halted {
 		pc := f.M.PC
 		if pc < 0 || pc >= len(f.skel.Include) {
-			return emu.DynInst{}, false
+			return nil, false
 		}
 		if !f.skel.Include[pc] {
 			// Masked off. Control instructions are always included, so
@@ -63,9 +63,9 @@ func (f *SkeletonFeeder) Peek() (emu.DynInst, bool) {
 		}
 		f.have = true
 		f.fed++
-		return f.cur, true
+		return &f.cur, true
 	}
-	return emu.DynInst{}, false
+	return nil, false
 }
 
 // Advance consumes the peeked instruction.

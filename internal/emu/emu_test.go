@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"r3dla/internal/isa"
 )
@@ -432,5 +433,15 @@ func TestCopyArchState(t *testing.T) {
 	lt.CopyArchState(mt)
 	if lt.PC != mt.PC || lt.Reg != mt.Reg {
 		t.Fatal("arch state copy incomplete")
+	}
+}
+
+// TestDynInstIsOneLine pins DynInst at one 64-byte cache line. The timing
+// model copies every record into its fetch queue and then its ROB, so a
+// field that takes it past the line costs every fetched instruction, and
+// adding one should be a decision.
+func TestDynInstIsOneLine(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got != 64 {
+		t.Errorf("DynInst is %d bytes, want 64", got)
 	}
 }

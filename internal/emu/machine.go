@@ -9,17 +9,19 @@ import (
 
 // DynInst is the dynamic record of one executed instruction. It carries
 // everything a timing model needs: identity, control outcome, memory
-// effective address, and the produced value (for value reuse).
+// effective address, and the produced value (for value reuse). The two
+// bools share the last word, so a record fills one 64-byte cache line;
+// the timing model copies each one into its fetch queue and its ROB.
 type DynInst struct {
 	Seq    uint64    // dynamic sequence number within this Machine
 	PC     int       // static instruction index
 	In     *isa.Inst // the static instruction
 	NextPC int       // architectural next PC
-	Taken  bool      // conditional branch outcome (or true for taken jumps)
 	EA     uint64    // effective address for loads/stores
 	Val    uint64    // value written to Dest (meaningful when HasVal)
-	HasVal bool      // instruction produced a register value
 	Tag    uint64    // opaque tag stamped by the consumer (e.g. BOQ epoch)
+	Taken  bool      // conditional branch outcome (or true for taken jumps)
+	HasVal bool      // instruction produced a register value
 }
 
 // Machine is an architectural-state interpreter for one thread.

@@ -112,8 +112,21 @@ const (
 	ClassJump   // unconditional control (jmp/jr/call/calr/ret)
 )
 
-// Class reports the functional-unit class of the opcode.
-func (o Op) Class() Class {
+// Class reports the functional-unit class of the opcode: one load from
+// a table built once from classOf, since the timing model asks on every
+// fetch, dispatch, issue and commit.
+func (o Op) Class() Class { return classes[o] }
+
+// classes is classOf for every value an Op can hold.
+var classes = func() (t [256]Class) {
+	for o := range t {
+		t[o] = classOf(Op(o))
+	}
+	return t
+}()
+
+// classOf buckets an opcode by the functional unit it occupies.
+func classOf(o Op) Class {
 	switch o {
 	case ADD, SUB, AND, OR, XOR, SHL, SHR, SLT,
 		ADDI, ANDI, ORI, XORI, SHLI, SHRI, SLTI, LUI:

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"r3dla/internal/branch"
 	"r3dla/internal/cache"
 	"r3dla/internal/emu"
@@ -80,10 +82,11 @@ type Core struct {
 	blockedOnSpec bool   // stop fetch until the mispredicted branch issues
 	feederDone    bool
 
-	// hintScratch is the DynInst handed to the TargetHint hook. Passing
-	// &local would make every fetched instruction escape to the heap —
-	// one allocation per fetch, the dominant object count in the seed's
-	// heap profile — so fetch copies into this core-owned slot instead.
+	// hintScratch is the DynInst handed to the TargetHint hook: the
+	// feeder's instruction with this fetch's Tag stamp. Passing &local
+	// would make every fetched instruction escape to the heap — one
+	// allocation per fetch, the dominant object count in the seed's heap
+	// profile — so fetch copies into this core-owned slot instead.
 	hintScratch emu.DynInst
 
 	// backend state
@@ -101,6 +104,9 @@ type Core struct {
 	// waitQ holds the ROB slots of the entries that have not issued, in
 	// program order: the only entries issue looks at.
 	waitQ []int32
+	// issueWake is the earliest cycle at which the issue walk can do
+	// anything; issue returns at once before it (see issue).
+	issueWake uint64
 	// stq is the FIFO of in-flight stores in program order, a ring of
 	// capacity ROB: dispatch pushes, commit pops, and a dispatching load
 	// searches it youngest first for a store to forward from.
@@ -165,13 +171,6 @@ func wrap(i, n int) int {
 	return i
 }
 
-// fqPush appends one entry at the tail of the fetch ring. Callers check
-// capacity (fqLen < Cfg.FetchBufSize) before pushing.
-func (c *Core) fqPush(e fqEntry) {
-	c.fetchQ[wrap(c.fqHead+c.fqLen, len(c.fetchQ))] = e
-	c.fqLen++
-}
-
 // fqPop drops the head entry of the fetch ring.
 func (c *Core) fqPop() {
 	c.fqHead = wrap(c.fqHead+1, len(c.fetchQ))
@@ -215,6 +214,7 @@ func (c *Core) Flush() {
 	}
 	c.head, c.tail, c.count = 0, 0, 0
 	c.waitQ = c.waitQ[:0]
+	c.issueWake = 0
 	c.stHead, c.stLen = 0, 0
 	c.lsqCount = 0
 	c.freeInt = c.Cfg.IntPRF - isa.NumIntRegs
@@ -284,9 +284,24 @@ func (c *Core) commit() {
 // issue width. Every entry in the queue dispatched in an earlier cycle
 // (dispatch runs after issue), so none is too young to consider. The
 // walk compacts the queue in place.
+//
+// The walk also sets issueWake, and issue does nothing before it. The
+// wake is the earliest cycle a kept entry with no pending producer can
+// issue: its readyAt, or the next cycle for one left behind for want of
+// a functional unit; the next cycle too if the walk stopped at
+// IssueWidth. Only a producer issuing can ready a waiting entry, and
+// that happens inside a walk, which reaches the younger consumer later
+// in the queue; an entry with no pending producer keeps its readyAt. So
+// no walk before the wake would issue or complete anything. Dispatch
+// lowers the wake for the entries it adds (tryDispatch), and Flush
+// clears it.
 func (c *Core) issue() {
+	if c.now < c.issueWake {
+		return
+	}
 	fuLeft := [3]int{c.Cfg.IntFUs, c.Cfg.MemFUs, c.Cfg.FPFUs}
 	issued := 0
+	wake := uint64(math.MaxUint64)
 	q := c.waitQ
 	kept, k := 0, 0
 	for ; k < len(q) && issued < c.Cfg.IssueWidth; k++ {
@@ -296,19 +311,26 @@ func (c *Core) issue() {
 			e.execDone = e.dispatchCycle + 1
 			continue
 		}
-		if e.pending == 0 && e.readyAt <= c.now {
-			if fu := fuOf(e.d.In.Op.Class()); fu == fuNone || fuLeft[fu] > 0 {
-				if fu != fuNone {
-					fuLeft[fu]--
+		if e.pending == 0 {
+			if e.readyAt <= c.now {
+				if fu := fuOf(e.d.In.Op.Class()); fu == fuNone || fuLeft[fu] > 0 {
+					if fu != fuNone {
+						fuLeft[fu]--
+					}
+					issued++
+					c.issueOne(e)
+					continue
 				}
-				issued++
-				c.issueOne(e)
-				continue
 			}
+			wake = min(wake, max(e.readyAt, c.now+1))
 		}
 		q[kept] = q[k]
 		kept++
 	}
+	if k < len(q) {
+		wake = c.now + 1
+	}
+	c.issueWake = wake
 	c.waitQ = q[:kept+copy(q[kept:], q[k:])]
 }
 
@@ -435,7 +457,7 @@ func (c *Core) dispatch() {
 			break
 		}
 		fe := &c.fetchQ[c.fqHead]
-		if !c.tryDispatch(fe) {
+		if !c.tryDispatch(&fe.d, fe.mispred) {
 			break
 		}
 		c.fqPop()
@@ -459,8 +481,7 @@ func (c *Core) dispatchPerfectFrontend() {
 			c.feederDone = true
 			break
 		}
-		fe := fqEntry{d: d, fetchCycle: c.now}
-		if !c.tryDispatch(&fe) {
+		if !c.tryDispatch(d, false) {
 			break
 		}
 		c.Feed.Advance()
@@ -473,15 +494,16 @@ func (c *Core) dispatchPerfectFrontend() {
 	}
 }
 
-// tryDispatch inserts one fetched instruction into the ROB; false means a
-// structural hazard (LSQ/PRF) blocks dispatch this cycle.
-func (c *Core) tryDispatch(fe *fqEntry) bool {
-	d := &fe.d
-	isMem := d.In.Op.IsMem()
+// tryDispatch copies one fetched instruction into the ROB; false means a
+// structural hazard (LSQ/PRF) blocks dispatch this cycle. The entry is
+// filled field by field: assigning a composite literal builds the whole
+// entry on the stack and then copies it.
+func (c *Core) tryDispatch(src *emu.DynInst, mispred bool) bool {
+	isMem := src.In.Op.IsMem()
 	if isMem && c.lsqCount >= c.Cfg.LSQ {
 		return false
 	}
-	dest := d.In.Dest()
+	dest := src.In.Dest()
 	intDest := dest != isa.NoReg && dest != isa.RegZero && dest < isa.FPRegBase
 	fpDest := dest != isa.NoReg && dest >= isa.FPRegBase
 	if intDest && c.freeInt == 0 {
@@ -493,17 +515,19 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 
 	e := &c.rob[c.tail]
 	c.seqCounter++
-	*e = robEntry{
-		d:             *d,
-		seq:           c.seqCounter,
-		live:          true,
-		dispatchCycle: c.now,
-		mispred:       fe.mispred,
-		waiters:       -1,
-		fwd:           -1,
-		intDest:       intDest,
-		fpDest:        fpDest,
-	}
+	e.d = *src
+	d := &e.d
+	e.seq = c.seqCounter
+	e.live = true
+	e.dispatchCycle = c.now
+	e.issued = false
+	e.execDone = 0
+	e.mispred = mispred
+	e.valPred, e.valCorrect, e.skipVal = false, false, false
+	e.pending, e.readyAt = 0, 0
+	e.waiters, e.nextWaiter = -1, [2]int32{}
+	e.fwd, e.fwdSeq = -1, 0
+	e.intDest, e.fpDest = intDest, fpDest
 	var srcBuf [2]uint8
 	srcs := d.In.Sources(srcBuf[:0])
 
@@ -557,6 +581,15 @@ func (c *Core) tryDispatch(fe *fqEntry) bool {
 			p.waiters = int32(c.tail)<<1 | int32(i)
 			e.pending++
 		}
+	}
+
+	// Lower the issue wake to the first cycle this entry can issue, or
+	// complete if it skips validation (see issue).
+	switch {
+	case e.skipVal:
+		c.issueWake = min(c.issueWake, c.now+1)
+	case e.pending == 0:
+		c.issueWake = min(c.issueWake, max(e.readyAt, c.now+1))
 	}
 
 	if intDest {
@@ -621,8 +654,9 @@ func (c *Core) fetch() {
 			c.feederDone = true
 			break
 		}
+		tag := d.Tag
 		if c.Hooks.FetchTag != nil {
-			d.Tag = c.Hooks.FetchTag()
+			tag = c.Hooks.FetchTag()
 		}
 
 		// I-cache: one access per block transition.
@@ -655,7 +689,8 @@ func (c *Core) fetch() {
 			var target int
 			var okT bool
 			if c.Hooks.TargetHint != nil {
-				c.hintScratch = d
+				c.hintScratch = *d
+				c.hintScratch.Tag = tag
 				target, okT = c.Hooks.TargetHint(&c.hintScratch)
 			}
 			if !okT {
@@ -679,16 +714,22 @@ func (c *Core) fetch() {
 			c.ras.Push(d.PC + 1)
 		}
 
+		// The fetch ring's tail slot is free (fqLen < FetchBufSize): copy
+		// the instruction straight into it, then consume it.
+		fe := &c.fetchQ[wrap(c.fqHead+c.fqLen, len(c.fetchQ))]
+		fe.d = *d
+		fe.d.Tag = tag
+		fe.fetchCycle, fe.mispred = c.now, mispred
+		c.fqLen++
 		c.Feed.Advance()
 		c.M.Fetched++
 		fetched++
-		c.fqPush(fqEntry{d: d, fetchCycle: c.now, mispred: mispred})
 
 		if mispred {
 			c.blockedOnSpec = true // wrong path beyond here: stall until resolve
 			break
 		}
-		if op.IsControl() && d.Taken {
+		if op.IsControl() && fe.d.Taken {
 			c.haveBlock = false // redirect: next fetch touches a new block
 			if !c.Cfg.NoFetchBreakOnTaken {
 				break

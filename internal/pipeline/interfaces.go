@@ -8,9 +8,11 @@ import (
 
 // Feeder supplies the committed-path dynamic instruction stream. Peek
 // returns the next instruction without consuming it (fetch may stall and
-// retry); Advance consumes it.
+// retry); Advance consumes it. The instruction Peek points to is the
+// feeder's own, valid until Advance: the core copies it before calling
+// Advance and never writes through the pointer.
 type Feeder interface {
-	Peek() (emu.DynInst, bool)
+	Peek() (*emu.DynInst, bool)
 	Advance()
 }
 
@@ -25,17 +27,17 @@ type MachineFeeder struct {
 }
 
 // Peek returns the next dynamic instruction.
-func (f *MachineFeeder) Peek() (emu.DynInst, bool) {
+func (f *MachineFeeder) Peek() (*emu.DynInst, bool) {
 	if f.have {
-		return f.cur, true
+		return &f.cur, true
 	}
 	if f.M.Halted || (f.Budget > 0 && f.fed >= f.Budget) {
-		return emu.DynInst{}, false
+		return nil, false
 	}
 	f.cur = f.M.Step()
 	f.have = true
 	f.fed++
-	return f.cur, true
+	return &f.cur, true
 }
 
 // Advance consumes the peeked instruction.
@@ -98,7 +100,11 @@ type Hooks struct {
 	TargetHint func(d *emu.DynInst) (target int, ok bool)
 	// FetchTag, if set, stamps every fetched instruction's Tag field
 	// (the DLA layer uses it to record the BOQ epoch at fetch, aligning
-	// FQ payloads with dynamic instances).
+	// FQ payloads with dynamic instances). It is called on every fetch
+	// attempt, so an instruction that fetch retries after an I-cache
+	// miss is stamped again. The stamp goes on the core's copy, which
+	// TargetHint, the ValueSource and every later hook see; the feeder's
+	// instruction keeps its own Tag.
 	FetchTag func() uint64
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"r3dla/internal/branch"
@@ -399,5 +400,61 @@ func TestBudgetStopsRun(t *testing.T) {
 	m := c.Run(5000)
 	if m.Committed < 5000 || m.Committed > 5000+uint64(c.Cfg.CommitWidth) {
 		t.Fatalf("budget not honored: %d committed", m.Committed)
+	}
+}
+
+// sliceFeeder feeds a fixed instruction list, pointing Peek at its own
+// copies as the Feeder contract allows.
+type sliceFeeder struct {
+	insts []emu.DynInst
+	next  int
+}
+
+func (f *sliceFeeder) Peek() (*emu.DynInst, bool) {
+	if f.next == len(f.insts) {
+		return nil, false
+	}
+	return &f.insts[f.next], true
+}
+
+func (f *sliceFeeder) Advance() { f.next++ }
+
+// The FetchTag stamp goes on the core's copy of an instruction, never on
+// the feeder's. The first instruction misses the cold I-cache, so fetch
+// peeks it, stamps it 1 and stops, then peeks it again and stamps it 2:
+// the TargetHint hook and the committed instruction must both carry the
+// stamp of the fetch that succeeded.
+func TestFetchStampsItsOwnCopy(t *testing.T) {
+	ret := isa.Inst{Op: isa.RET}
+	add := isa.Inst{Op: isa.ADD, Rd: 2, Rs1: 3, Rs2: 4}
+	feed := &sliceFeeder{insts: []emu.DynInst{
+		{Seq: 0, PC: 0, In: &ret, NextPC: 1, Taken: true},
+		{Seq: 1, PC: 1, In: &add, NextPC: 2, HasVal: true},
+	}}
+	l1i, l1d := testCaches(50)
+	c := New(DefaultConfig(), feed, &TageSource{P: branch.NewPredictor(branch.DefaultConfig())}, l1i, l1d)
+	var stamps uint64
+	c.Hooks.FetchTag = func() uint64 { stamps++; return stamps }
+	var hinted []uint64
+	c.Hooks.TargetHint = func(d *emu.DynInst) (int, bool) {
+		hinted = append(hinted, d.Tag)
+		return d.NextPC, true
+	}
+	committed := map[uint64]uint64{} // Seq -> Tag
+	c.Hooks.OnCommit = func(d *emu.DynInst, now uint64) { committed[d.Seq] = d.Tag }
+	if m := c.Run(0); m.Deadlocked || m.Committed != 2 {
+		t.Fatalf("committed %d of 2 instructions (deadlocked: %v)", m.Committed, m.Deadlocked)
+	}
+
+	for _, d := range feed.insts {
+		if d.Tag != 0 {
+			t.Errorf("fetch wrote Tag %d into the feeder's instruction %d", d.Tag, d.Seq)
+		}
+	}
+	if !slices.Equal(hinted, []uint64{2}) {
+		t.Errorf("TargetHint saw tags %v, want [2]: the stamp of the RET's second fetch", hinted)
+	}
+	if committed[0] != 2 || committed[1] != stamps {
+		t.Errorf("committed tags %v, want RET 2 and ADD %d (the last stamp)", committed, stamps)
 	}
 }

@@ -107,3 +107,45 @@ func TestLoadForwardsFromYoungerOfTwoStores(t *testing.T) {
 		t.Fatalf("forwarded load reached the cache: %d loads, level hits %v", c.M.Loads, c.M.LoadLevelHits)
 	}
 }
+
+// TestIssueWakeIsExact steps every timing-golden case and checks, after
+// each cycle whose next issue call returns at once, that the walk it
+// skips would have done nothing: no waiting entry skips validation (the
+// walk completes those), and none whose producers have all issued is
+// ready before the wake. The goldens see a late wake only where it moves
+// a counter; this sees it in the cycle it happens.
+func TestIssueWakeIsExact(t *testing.T) {
+	var asleep uint64
+	for _, tc := range timingCases() {
+		cfg := tc.cfg
+		c := newTestCore(randomProgram(tc.seed), tc.memLat, func(x *Config) { *x = cfg })
+		c.Vals = tc.vals
+		for !c.Done() {
+			c.Tick()
+			if tc.flushEvery != 0 && c.M.Cycles%tc.flushEvery == 0 {
+				c.Flush()
+			}
+			if c.M.Cycles > 10_000_000 {
+				t.Fatalf("%s: deadlock", tc.name)
+			}
+			if c.now >= c.issueWake {
+				continue
+			}
+			asleep++
+			for _, slot := range c.waitQ {
+				e := &c.rob[slot]
+				if e.skipVal {
+					t.Fatalf("%s, cycle %d: issue sleeps until %d over skip-validation entry %d",
+						tc.name, c.now, c.issueWake, e.d.Seq)
+				}
+				if e.pending == 0 && e.readyAt < c.issueWake {
+					t.Fatalf("%s, cycle %d: issue sleeps until %d, but entry %d is ready at %d",
+						tc.name, c.now, c.issueWake, e.d.Seq, e.readyAt)
+				}
+			}
+		}
+	}
+	if asleep == 0 {
+		t.Fatal("the issue stage never slept: the test checked nothing")
+	}
+}

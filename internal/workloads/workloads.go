@@ -120,28 +120,26 @@ type csr struct {
 	V, E int
 }
 
-// buildCSR materializes a random graph with out-degree ~deg.
+// buildCSR materializes a random graph with out-degree ~deg. It draws
+// each vertex's degree and then its targets, vertex by vertex, and then
+// writes the row pointers and the targets in a pass each, so that
+// consecutive writes stay on one page.
 func buildCSR(m *emu.Memory, rng *rand.Rand, v, deg int) csr {
-	edges := make([][]int32, v)
-	total := 0
-	for i := range edges {
-		d := 1 + rng.Intn(deg*2)
-		edges[i] = make([]int32, d)
-		for j := range edges[i] {
-			edges[i][j] = int32(rng.Intn(v))
-		}
-		total += d
-	}
-	off := 0
+	rowPtr := make([]int, v+1)
+	colIdx := make([]int32, 0, v*(deg+1)) // the mean degree is deg+1/2
 	for i := 0; i < v; i++ {
-		m.Write(regA+uint64(i)*8, uint64(off))
-		for _, c := range edges[i] {
-			m.Write(regB+uint64(off)*8, uint64(c))
-			off++
+		for d := 1 + rng.Intn(deg*2); d > 0; d-- {
+			colIdx = append(colIdx, int32(rng.Intn(v)))
 		}
+		rowPtr[i+1] = len(colIdx)
 	}
-	m.Write(regA+uint64(v)*8, uint64(off))
-	return csr{V: v, E: total}
+	for i, off := range rowPtr {
+		m.Write(regA+uint64(i)*8, uint64(off))
+	}
+	for e, c := range colIdx {
+		m.Write(regB+uint64(e)*8, uint64(c))
+	}
+	return csr{V: v, E: len(colIdx)}
 }
 
 // emitXorshift appends a xorshift64 step on reg, clobbering tmp.
