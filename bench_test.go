@@ -416,10 +416,10 @@ var coreCells = []struct {
 	{"mcf_baseline", core.Options{Disable: true, WithBOP: true}, 127},
 }
 
-// runCell is one CoreRun op: system construction on a copy-on-write fork
-// of the frozen image, then the cycle loop.
+// runCell is one CoreRun op: system construction over the frozen image,
+// which the System forks copy-on-write itself, then the cycle loop.
 func runCell(tb testing.TB, p *lab.Prepared, opt core.Options) {
-	sys := core.NewSystemWithMemory(p.Prog, p.Image().Fork(), p.Set, p.Prof, opt)
+	sys := core.NewSystemWithMemory(p.Prog, p.Image(), p.Set, p.Prof, opt)
 	if r := sys.Run(coreBudget); r.MT.Committed == 0 {
 		tb.Fatal("no instructions committed")
 	}

@@ -127,7 +127,8 @@ func Collect(prog *isa.Program, setup func(*emu.Memory), budget uint64) *Profile
 	mach := emu.NewMachine(prog, mem)
 	feed := &pipeline.MachineFeeder{M: mach, Budget: budget}
 	dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
-	coreC, priv := memsys.NewBaselineCore(pipeline.DefaultConfig(), feed, dir, memsys.Options{WithBOP: true})
+	priv := memsys.NewPrivate(memsys.NewShared(), memsys.Options{WithBOP: true})
+	coreC := pipeline.New(pipeline.DefaultConfig(), feed, dir, priv.L1I, priv.L1D)
 
 	lastStore := make(map[uint64]int) // word -> store PC
 	strides := make([]strideTrack, len(prog.Insts))

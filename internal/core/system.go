@@ -19,7 +19,7 @@ import (
 // Options selects the DLA system configuration. The zero value is the
 // baseline DLA of Sec. III-A; enabling all four R3 flags yields R3-DLA.
 // SlipStreamOptions, CREOptions and BFetchOptions select the designs
-// Fig. 9-b compares against instead.
+// Fig. 9-b compares against instead, and SMTOptions Fig. 11's SMT pair.
 type Options struct {
 	T1          bool        // reduce: offload strided prefetch to the T1 FSM
 	ValueReuse  bool        // reuse: SIF-filtered value predictions through the VQ
@@ -57,10 +57,10 @@ type Options struct {
 	// its own predictor (used by harness baselines sharing this driver).
 	Disable bool
 
-	design design // a Fig. 9-b comparator; set only by its constructor
+	design design // a Fig. 9-b comparator or the SMT pair; set only by its constructor
 }
 
-// design selects one of the designs Fig. 9-b compares against, which
+// design selects a Fig. 9-b comparator or Fig. 11's SMT pair, which
 // NewSystemWithMemory then builds instead of a DLA system. A byte fits
 // in Options' trailing padding, so the struct keeps its size.
 type design uint8
@@ -70,9 +70,10 @@ const (
 	designSlipStream
 	designCRE
 	designBFetch
+	designSMT
 )
 
-var designNames = [...]string{designSlipStream: "slipstream", designCRE: "cre", designBFetch: "bfetch"}
+var designNames = [...]string{designSlipStream: "slipstream", designCRE: "cre", designBFetch: "bfetch", designSMT: "smt"}
 
 // The DLA sizings of Table I. A zero size in Options means its default;
 // the estimator tiers and Table I read the same constants.
@@ -176,12 +177,22 @@ func BFetchOptions() Options {
 	return Options{Disable: true, WithBOP: true, design: designBFetch}
 }
 
+// SMTOptions returns the SMT usage point of Fig. 11 (Sec. IV-B3): two
+// copies of the program, each on a half-core, sharing one private cache
+// stack. The budget counts both copies' commits, and Results.SMT carries
+// the second copy's metrics.
+func SMTOptions() Options {
+	half := pipeline.HalfConfig()
+	return Options{Disable: true, WithBOP: true, CoreCfg: &half, design: designSMT}
+}
+
 // Results is a DLA run's observables, snapshotted when the run ends. It
 // shares no memory with the System that produced it: a kept Results (the
 // run memo keeps one per distinct cell) costs its counters, not the
 // simulated machine behind them.
 type Results struct {
 	MT, LT *pipeline.Metrics // LT is nil without a look-ahead thread
+	SMT    *pipeline.Metrics // the SMT pair's second copy; nil outside SMTOptions
 
 	Reboots         uint64
 	WatchdogReboots uint64 // forced resyncs after MT starvation
@@ -199,7 +210,7 @@ type Results struct {
 	// MT.LoadLevelHits[2:] are the other misses).
 	MTStridedL1Misses uint64
 
-	MTMem, LTMem memsys.Stats // each core's private L1I/L1D/L2 counters
+	MTMem, LTMem memsys.Stats // each core's private L1I/L1D/L2 counters; LTMem is zero without an LT
 	L3           cache.Stats
 	DRAM         dram.Stats
 
@@ -230,8 +241,9 @@ type System struct {
 	mtFeed *pipeline.MachineFeeder
 	ltFeed *SkeletonFeeder
 
-	mt *pipeline.Core
-	lt *pipeline.Core
+	mt  *pipeline.Core
+	lt  *pipeline.Core
+	smt *pipeline.Core // the SMT pair's second copy, on the MT's cache stack
 
 	boq *BOQ
 	fq  *FQ // prefetch hints (epoch-released) + shares capacity with ind
@@ -279,20 +291,19 @@ const watchdogWindow = 15_000
 // SlipStream and CRE designs build their own leader set from prog and
 // prof instead of set.
 func NewSystem(prog *isa.Program, setup func(*emu.Memory), set *Set, prof *Profile, opt Options) *System {
-	base := emu.NewMemory()
+	image := emu.NewMemory()
 	if setup != nil {
-		setup(base)
+		setup(image)
 	}
-	return NewSystemWithMemory(prog, base, set, prof, opt)
+	return NewSystemWithMemory(prog, image, set, prof, opt)
 }
 
-// NewSystemWithMemory is NewSystem with data memory supplied directly: base
-// becomes the MT's memory and the LT overlays it. The experiment harness
-// passes copy-on-write forks of a prepared image (emu.Memory.Fork), making
-// workload setup a one-time cost instead of a per-run one — the heap
-// profile attributed ~74% of per-run allocation to re-running setup.
-// Results are identical either way: a fork reads exactly the parent image.
-func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Profile, opt Options) *System {
+// NewSystemWithMemory is NewSystem over an initialized data-memory image
+// that no one writes any more: each copy of the program runs on its own
+// copy-on-write fork of it (emu.Memory.Fork), and the LT overlays the
+// MT's. The experiment harness passes a prepared workload's frozen image,
+// so workload setup is a one-time cost instead of a per-run one.
+func NewSystemWithMemory(prog *isa.Program, image *emu.Memory, set *Set, prof *Profile, opt Options) *System {
 	opt.fill()
 	cfg := pipeline.DefaultConfig()
 	if opt.CoreCfg != nil {
@@ -316,11 +327,8 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 
 	s.shared = memsys.NewShared()
 	s.mtMem = memsys.NewPrivate(s.shared, memsys.Options{WithBOP: opt.WithBOP, WithStride: opt.WithStride})
-	s.ltMem = memsys.NewPrivate(s.shared, memsys.Options{WithBOP: opt.WithBOP, DiscardDirty: true})
-
-	s.mtMach = emu.NewMachine(prog, base)
-	s.ltOver = emu.NewOverlay(base)
-	s.ltMach = emu.NewMachine(prog, s.ltOver)
+	mem := image.Fork()
+	s.mtMach = emu.NewMachine(prog, mem)
 
 	s.boq = NewBOQ(opt.BOQSize)
 	s.fq = NewFQ(opt.FQSize * 3 / 4)
@@ -382,11 +390,20 @@ func NewSystemWithMemory(prog *isa.Program, base *emu.Memory, set *Set, prof *Pr
 		s.mt.Hooks.FetchTag = func() uint64 { return s.boq.PopIndex() }
 	}
 
+	if opt.design == designSMT {
+		feed := &pipeline.MachineFeeder{M: emu.NewMachine(prog, image.Fork())}
+		dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
+		s.smt = pipeline.New(mtCfg, feed, dir, s.mtMem.L1I, s.mtMem.L1D)
+		s.smt.Hooks.OnLoadAccess = mtLoad
+	}
 	if opt.Disable {
 		return s
 	}
 
 	// Look-ahead core.
+	s.ltMem = memsys.NewPrivate(s.shared, memsys.Options{WithBOP: opt.WithBOP, DiscardDirty: true})
+	s.ltOver = emu.NewOverlay(mem)
+	s.ltMach = emu.NewMachine(prog, s.ltOver)
 	skel := s.pickInitialSkeleton()
 	s.ltFeed = NewSkeletonFeeder(s.ltMach, skel)
 	ltDir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
@@ -672,7 +689,8 @@ func (s *System) doReboot() {
 // ------------------------------------------------------------------ run
 
 // Run executes until the MT commits budget instructions (or the program
-// ends) and returns the results.
+// ends) and returns the results. The SMT pair's two copies commit the
+// budget between them.
 func (s *System) Run(budget uint64) *Results {
 	r, _ := s.RunContext(nil, budget)
 	return r
@@ -687,12 +705,13 @@ const cancelCheckMask = 4096 - 1
 // polled periodically, and a canceled run stops early, returning the
 // partial results alongside ctx's error. A nil ctx never cancels.
 func (s *System) RunContext(ctx context.Context, budget uint64) (*Results, error) {
-	guard := budget*3000 + 3_000_000
+	guard := pipeline.DeadlockGuard(budget)
 	ltGate := 0
 	if s.lt != nil {
 		ltGate = s.lt.Cfg.CommitWidth
 	}
-	for !s.mt.Done() && (budget == 0 || s.mt.M.Committed < budget) {
+	var twin uint64 // the SMT copy's commits, which the budget counts too
+	for !s.mt.Done() && (budget == 0 || s.mt.M.Committed+twin < budget) {
 		if ctx != nil && s.now&cancelCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return s.Results(), err
@@ -721,6 +740,10 @@ func (s *System) RunContext(ctx context.Context, budget uint64) (*Results, error
 			}
 		}
 		s.mt.Tick()
+		if s.smt != nil {
+			s.smt.Tick()
+			twin = s.smt.M.Committed
+		}
 		s.now++
 		if s.now > guard {
 			s.mt.M.Deadlocked = true
@@ -738,6 +761,10 @@ func (s *System) Results() *Results {
 	if s.lt != nil {
 		r.LT = s.lt.M.Snapshot()
 		r.LTSkipped = s.ltFeed.Skipped
+		r.LTMem = s.ltMem.Stats()
+	}
+	if s.smt != nil {
+		r.SMT = s.smt.M.Snapshot()
 	}
 	r.FQDrops = s.fq.Drops + s.ind.Drops
 	r.VQDrops = s.vq.Drops
@@ -751,7 +778,7 @@ func (s *System) Results() *Results {
 		r.SkeletonUse = slices.Clone(s.rc.UseInsts)
 		r.LCT = s.rc.lct.table()
 	}
-	r.MTMem, r.LTMem = s.mtMem.Stats(), s.ltMem.Stats()
+	r.MTMem = s.mtMem.Stats()
 	r.L3, r.DRAM = s.shared.L3.Stats, s.shared.DRAM.Stats
 	return &r
 }

@@ -177,10 +177,10 @@ func (c *Context) abort(err error) {
 
 // Do runs f on the worker pool: it blocks for a slot (respecting Jobs),
 // runs f, and releases the slot. Prep and RunCached acquire a slot
-// themselves; Do is for compute-heavy leaf work that no core.Options
-// value describes (Fig. 1's limit study, Fig. 11's SMT pair and the
-// Appendix-B supply/demand runs). f must not call Do, Prep or RunCached
-// — nested acquisition would deadlock a one-slot pool.
+// themselves; Do is for compute-heavy leaf work that is no pipeline
+// simulation, and so no core.Options value describes: Fig. 1's limit
+// study. f must not call Do, Prep or RunCached — nested acquisition
+// would deadlock a one-slot pool.
 func (c *Context) Do(f func()) {
 	c.checkCanceled()
 	c.state.semOnce.Do(c.initSem)
@@ -305,7 +305,8 @@ type Prepared struct {
 // running Setup exactly once per Prepared and frozen afterwards. Runs fork
 // it copy-on-write (emu.Memory.Fork) instead of re-executing Setup, which
 // the heap profile showed dominating per-run allocation. The image must
-// never be written directly — only forks are.
+// never be written directly — only forks are, and core.NewSystemWithMemory
+// makes them.
 func (p *Prepared) Image() *emu.Memory {
 	p.imgOnce.Do(func() {
 		m := emu.NewMemory()
@@ -413,7 +414,7 @@ func (c *Context) RunDLAAt(p *Prepared, opt core.Options, budget uint64) *core.R
 	}
 	var r *core.Results
 	c.Do(func() {
-		sys := core.NewSystemWithMemory(p.Prog, p.Image().Fork(), p.Set, p.Prof, opt)
+		sys := core.NewSystemWithMemory(p.Prog, p.Image(), p.Set, p.Prof, opt)
 		res, err := sys.RunContext(c.ctx, budget)
 		if err != nil {
 			panic(canceled{err})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"r3dla/internal/core"
+	"r3dla/internal/pipeline"
 	"r3dla/internal/workloads"
 )
 
@@ -103,28 +104,38 @@ func TestSuiteNames(t *testing.T) {
 	}
 }
 
-// TestComparatorsAndTrainingAreKeyedRuns: Fig. 9-b's three comparators
-// and Fig. 13-b's training-input run are memoized runs like any other.
-// Each simulates once however often it is asked for, under a key no
-// other run shares, and only a run with a recycle controller reports an
-// LCT.
+// TestComparatorsAndTrainingAreKeyedRuns: Fig. 9-b's three comparators,
+// Fig. 13-b's training-input run, Fig. 11's SMT pair and the Appendix-B
+// frontend runs are memoized runs like any other. Each simulates once
+// however often it is asked for, under a key no other run shares (the
+// SMT pair's included, against the half-core it runs on), only a run
+// with a recycle controller reports an LCT, and only the SMT pair
+// reports a second copy.
 func TestComparatorsAndTrainingAreKeyedRuns(t *testing.T) {
 	c := NewContext(2_000)
 	p := c.Prep("mcf")
-	runs := []struct {
+	type run struct {
 		p      *Prepared
 		opt    core.Options
 		budget uint64
-	}{
+	}
+	runs := []run{
 		{p, core.BFetchOptions(), c.Budget},
 		{p, core.SlipStreamOptions(), c.Budget},
 		{p, core.CREOptions(), c.Budget},
 		{p.Train(), trainOptions, c.Budget / 2},
+		{p, core.SMTOptions(), c.Budget / 2},
 	}
+	for _, opt := range appendixBRuns() {
+		runs = append(runs, run{p, opt, c.Budget / 4})
+	}
+	half := pipeline.HalfConfig()
 	keys := map[string]bool{
-		RunKey(p.W.Name, core.DLAOptions(), c.Budget):                          true,
-		RunKey(p.W.Name, core.Options{Disable: true, WithBOP: true}, c.Budget): true,
+		RunKey(p.W.Name, core.DLAOptions(), c.Budget):                                            true,
+		RunKey(p.W.Name, core.Options{Disable: true, WithBOP: true}, c.Budget):                   true,
+		RunKey(p.W.Name, core.Options{Disable: true, WithBOP: true, CoreCfg: &half}, c.Budget/2): true,
 	}
+	smtKey := RunKey(p.W.Name, core.SMTOptions(), c.Budget/2)
 	for i, r := range runs {
 		key := RunKey(r.p.W.Name, r.opt, r.budget)
 		if keys[key] {
@@ -139,6 +150,9 @@ func TestComparatorsAndTrainingAreKeyedRuns(t *testing.T) {
 		}
 		if n := c.RunCount(); n != i+1 {
 			t.Errorf("%s: %d simulations after %d distinct runs", key, n, i+1)
+		}
+		if (first.SMT != nil) != (key == smtKey) {
+			t.Errorf("%s: reports an SMT copy: %t", key, first.SMT != nil)
 		}
 	}
 	if lct := c.RunShared(p.Train(), trainOptions, c.Budget/2, nil, nil).LCT; lct == nil {

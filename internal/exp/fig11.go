@@ -3,47 +3,18 @@ package exp
 import (
 	"fmt"
 
-	"r3dla/internal/branch"
 	"r3dla/internal/core"
-	"r3dla/internal/emu"
-	"r3dla/internal/memsys"
 	"r3dla/internal/pipeline"
 	"r3dla/internal/stats"
 	"r3dla/internal/workloads"
 )
 
-// runSMTPair runs two copies of the workload on two half-cores sharing
-// one private cache stack (the SMT usage point of Fig. 11) and returns
-// the combined throughput in instructions per cycle.
-func runSMTPair(p *Prepared, budget uint64) float64 {
-	shared := memsys.NewShared()
-	priv := memsys.NewPrivate(shared, memsys.Options{WithBOP: true})
-	half := pipeline.HalfConfig()
-
-	mk := func() *pipeline.Core {
-		mach := emu.NewMachine(p.Prog, p.Image().Fork())
-		feed := &pipeline.MachineFeeder{M: mach}
-		dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
-		c := pipeline.New(half, feed, dir, priv.L1I, priv.L1D)
-		c.Hooks.OnLoadAccess = priv.LoadHook()
-		return c
-	}
-	c1, c2 := mk(), mk()
-	guard := budget*2000 + 1_000_000
-	for c1.M.Committed+c2.M.Committed < budget {
-		c1.Tick()
-		c2.Tick()
-		if c1.M.Cycles > guard {
-			break
-		}
-	}
-	return float64(c1.M.Committed+c2.M.Committed) / float64(c1.M.Cycles)
-}
-
 // Fig11 regenerates Fig. 11: throughput of the wide core (FC), DLA and
-// R3-DLA on two half-cores, and two-copy SMT, all normalized to a single
-// half-core (HC). HC, FC and SMT run at half the budget that DLA and
-// R3-DLA run at (DESIGN §4); the memoized runs' keys show each budget.
+// R3-DLA on two half-cores, and two-copy SMT (core.SMTOptions: two
+// half-cores sharing one private cache stack, their combined commits per
+// cycle), all normalized to a single half-core (HC). HC, FC and SMT run
+// at half the budget that DLA and R3-DLA run at (DESIGN §4); the
+// memoized runs' keys show each budget.
 func Fig11(c *Context) *Report {
 	half := pipeline.HalfConfig()
 	wide := pipeline.WideConfig()
@@ -61,8 +32,8 @@ func Fig11(c *Context) *Report {
 
 		hcIPC := c.RunShared(p, core.Options{Disable: true, WithBOP: true, CoreCfg: &half}, budget, nil, nil).IPC()
 		fcIPC := c.RunShared(p, core.Options{Disable: true, WithBOP: true, CoreCfg: &wide}, budget, nil, nil).IPC()
-		var smt float64
-		c.Do(func() { smt = runSMTPair(p, budget) })
+		pair := c.RunShared(p, core.SMTOptions(), budget, nil, nil)
+		smt := float64(pair.MT.Committed+pair.SMT.Committed) / float64(pair.MT.Cycles)
 
 		dlaOpt := core.DLAOptions()
 		dlaOpt.CoreCfg = &half

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"r3dla/internal/analytic"
-	"r3dla/internal/branch"
 	"r3dla/internal/core"
-	"r3dla/internal/emu"
 	"r3dla/internal/limit"
-	"r3dla/internal/memsys"
 	"r3dla/internal/pipeline"
 	"r3dla/internal/stats"
 	"r3dla/internal/workloads"
@@ -61,48 +58,48 @@ func Fig1(c *Context) *Report {
 // breaks make the two supply mechanisms differ most).
 const fbWorkload = "gobmk"
 
-// measureSupplyDemand extracts the empirical supply and demand
-// distributions of Appendix B at the figures' standard measurement
-// budget (a quarter of the evaluation budget).
-func measureSupplyDemand(c *Context, p *Prepared) (demand, supplyIC, supplyTC []float64) {
-	return MeasureSupplyDemand(c, p, c.Budget/4)
+// appendixBRuns returns the Appendix B measurement runs, keyed
+// single-core runs with BOP: demand under a perfect frontend, then supply
+// under an infinite backend with taken-branch fetch breaks (an I-cache)
+// and without (a trace cache).
+func appendixBRuns() []core.Options {
+	var opts []core.Options
+	for _, run := range []struct{ demand, trace bool }{{true, false}, {false, false}, {false, true}} {
+		cfg := pipeline.DefaultConfig()
+		cfg.FetchWidth = 16   // Appendix B case study: 16-wide I-cache fetch
+		cfg.FetchBufSize = 64 // don't let the buffer cap the supply measure
+		cfg.PerfectFrontend, cfg.TrackDemand = run.demand, run.demand
+		cfg.InfiniteBackend, cfg.TrackSupply = !run.demand, !run.demand
+		cfg.NoFetchBreakOnTaken = run.trace
+		opts = append(opts, core.Options{Disable: true, WithBOP: true, CoreCfg: &cfg})
+	}
+	return opts
 }
 
-// MeasureSupplyDemand extracts the empirical supply and demand
-// distributions of Appendix B: demand under a perfect frontend, supply
-// under an infinite backend (with and without taken-branch fetch breaks
-// to model a trace cache). The three measurement runs are independent and
-// dispatched to the worker pool. The tier package's calibrator runs this
-// at its own (short) calibration budget, so the budget is a parameter.
-//
-// These runs stay outside the run memo: most supply runs deadlock (an
-// infinite backend never resolves a mispredicted branch), and a bare
-// pipeline.Core gives up on a deadlock after a third of the cycles a
-// core.System spends.
-func MeasureSupplyDemand(c *Context, p *Prepared, budget uint64) (demand, supplyIC, supplyTC []float64) {
-	muts := []func(*pipeline.Config){
-		func(cfg *pipeline.Config) { cfg.PerfectFrontend = true; cfg.TrackDemand = true },
-		func(cfg *pipeline.Config) { cfg.InfiniteBackend = true; cfg.TrackSupply = true },
-		func(cfg *pipeline.Config) {
-			cfg.InfiniteBackend = true
-			cfg.TrackSupply = true
-			cfg.NoFetchBreakOnTaken = true
-		},
-	}
-	ms := make([]*pipeline.Metrics, len(muts))
-	c.ParallelEach(len(muts), func(i int) {
-		c.Do(func() {
-			cfg := pipeline.DefaultConfig()
-			cfg.FetchWidth = 16   // Appendix B case study: 16-wide I-cache fetch
-			cfg.FetchBufSize = 64 // don't let the buffer cap the supply measure
-			muts[i](&cfg)
-			feed := &pipeline.MachineFeeder{M: emu.NewMachine(p.Prog, p.Image().Fork())}
-			dir := &pipeline.TageSource{P: branch.NewPredictor(branch.DefaultConfig())}
-			coreC, _ := memsys.NewBaselineCore(cfg, feed, dir, memsys.Options{WithBOP: true})
-			ms[i] = coreC.Run(budget)
-		})
+// frontendDists runs Appendix B measurement runs on p at budget, through
+// the run memo and in parallel, and returns the one distribution each
+// tracks (demand or supply).
+func frontendDists(c *Context, p *Prepared, budget uint64, runs []core.Options) [][]float64 {
+	dists := make([][]float64, len(runs))
+	c.ParallelEach(len(runs), func(i int) {
+		m := c.RunShared(p, runs[i], budget, nil, nil).MT
+		if m.Demand != nil {
+			dists[i] = m.Demand.Dist()
+		} else {
+			dists[i] = m.Supply.Dist()
+		}
 	})
-	return ms[0].Demand.Dist(), ms[1].Supply.Dist(), ms[2].Supply.Dist()
+	return dists
+}
+
+// MeasureSupplyDemand extracts the empirical demand and I-cache supply
+// distributions of Appendix B at budget: Fig. 14 at a quarter of the
+// evaluation budget, the tier package's calibrator at its own. Most
+// supply runs deadlock (an infinite backend never resolves a mispredicted
+// branch, ROADMAP item 4) and stop at pipeline.DeadlockGuard.
+func MeasureSupplyDemand(c *Context, p *Prepared, budget uint64) (demand, supply []float64) {
+	d := frontendDists(c, p, budget, appendixBRuns()[:2])
+	return d[0], d[1]
 }
 
 // mustModel builds the Appendix B model from measured histograms.
@@ -121,9 +118,9 @@ func mustModel(demand, supply []float64) *analytic.Model {
 // expected fetch bubbles as capacity varies (b).
 func Fig5(c *Context) *Report {
 	p := c.Prep(fbWorkload)
-	demand, supplyIC, supplyTC := measureSupplyDemand(c, p)
-	mIC := mustModel(demand, supplyIC)
-	mTC := mustModel(demand, supplyTC)
+	d := frontendDists(c, p, c.Budget/4, appendixBRuns())
+	mIC := mustModel(d[0], d[1])
+	mTC := mustModel(d[0], d[2])
 
 	ta := &stats.Table{
 		Title:  fmt.Sprintf("Fig. 5-a: P(queue length), workload %s", fbWorkload),
@@ -156,8 +153,7 @@ func Fig5(c *Context) *Report {
 // queue-length distribution.
 func Fig14(c *Context) *Report {
 	p := c.Prep(fbWorkload)
-	demand, supplyIC, _ := measureSupplyDemand(c, p)
-	model := mustModel(demand, supplyIC)
+	model := mustModel(MeasureSupplyDemand(c, p, c.Budget/4))
 	theory := model.QueueDist(32)
 
 	cfg := pipeline.DefaultConfig()

@@ -93,10 +93,11 @@ func TestReportGoldenCSV(t *testing.T) {
 // and the concatenated text reports must match
 // testdata/experiments@2000.txt byte for byte. The file holds exactly
 // what `r3dla -exp all -budget 2000 -q` prints. The drivers name their
-// runs by options alone, so the registry simulates each of its 651
-// distinct (workload, options, budget) cells once: 22 configurations and
-// Fig. 9-b's 3 comparators on each of the 25 workloads, Fig. 13-b's 25
-// training-input runs, and Fig. 14's occupancy run on gobmk.
+// runs by options alone, so the registry simulates each of its 679
+// distinct (workload, options, budget) cells once: 22 configurations,
+// Fig. 9-b's 3 comparators and Fig. 11's SMT pair on each of the 25
+// workloads, Fig. 13-b's 25 training-input runs, Fig. 14's occupancy run,
+// and the 3 Appendix-B frontend runs of Fig. 5 and Fig. 14 on gobmk.
 func TestExperimentsGolden(t *testing.T) {
 	c := NewContext(2_000)
 	ids := make([]string, len(Registry))
@@ -108,7 +109,7 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "experiments@2000.txt", []byte(render(t, res)))
-	if n, want := c.RunCount(), 26*len(SuiteNames("all"))+1; n != want {
+	if n, want := c.RunCount(), 27*len(SuiteNames("all"))+1+3; n != want {
 		t.Errorf("the registry simulated %d memoized cells, want %d", n, want)
 	}
 }

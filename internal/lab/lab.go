@@ -340,6 +340,8 @@ func (l *Lab) runPrepared(ctx context.Context, p *Prepared, cfg Config, budget u
 // default): demand under a perfect frontend, supply under an infinite
 // backend. The tier package's calibrator runs this once per workload at
 // a short calibration budget to parameterize its analytic estimator.
+// Both are keyed runs through the run memo, shared with Fig. 5 and Fig.
+// 14 at equal budgets, and canceling ctx stops them mid-run.
 func (l *Lab) FrontendProfile(ctx context.Context, workload string, budget uint64) (demand, supply []float64, err error) {
 	p, err := l.Prepare(ctx, workload)
 	if err != nil {
@@ -349,7 +351,7 @@ func (l *Lab) FrontendProfile(ctx context.Context, workload string, budget uint6
 		budget = l.c.Budget
 	}
 	err = l.guarded(ctx, func(c *exp.Context) {
-		demand, supply, _ = exp.MeasureSupplyDemand(c, p, budget)
+		demand, supply = exp.MeasureSupplyDemand(c, p, budget)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"r3dla/internal/pipeline"
 )
@@ -388,6 +389,41 @@ func TestLabCancellation(t *testing.T) {
 	}
 	if _, err := l.Run(context.Background(), RunRequest{Workload: "mcf", Config: ConfigSpec{Preset: "dla"}}); err != nil {
 		t.Fatalf("lab poisoned after cancellation: %v", err)
+	}
+}
+
+// TestFrontendProfileStopsWhenCanceled cancels the tier calibrator's
+// frontend runs mid-simulation. At this budget the I-cache supply run,
+// which deadlocks on gobmk, spins for 10^10 cycles before it gives up,
+// so only a run that polls its context can return in time. The call
+// must return the context's error and give the Lab's worker slots back,
+// so the next run does not wait on them.
+func TestFrontendProfileStopsWhenCanceled(t *testing.T) {
+	l, err := New(WithBudget(2_000), WithJobs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Prepare(context.Background(), "gobmk"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := l.FrontendProfile(ctx, "gobmk", 10_000_000)
+		done <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled FrontendProfile returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("FrontendProfile still running 10s after its context was canceled")
+	}
+	if _, err := l.RunConfig(context.Background(), "gobmk", MustConfig(Baseline), 2_000); err != nil {
+		t.Fatalf("run after the canceled profile: %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"r3dla/internal/cache"
 	"r3dla/internal/dram"
 	"r3dla/internal/emu"
-	"r3dla/internal/pipeline"
 	"r3dla/internal/prefetch"
 )
 
@@ -105,14 +104,4 @@ func (p *Private) LoadHook() func(d *emu.DynInst, level int, done, now uint64) {
 			}
 		}
 	}
-}
-
-// NewBaselineCore assembles a complete baseline core (Table I + BOP) over
-// a fresh shared memory system, returning the core and its private stack.
-// This is the configuration every experiment normalizes against.
-func NewBaselineCore(cfg pipeline.Config, feed pipeline.Feeder, dir pipeline.DirectionSource, opt Options) (*pipeline.Core, *Private) {
-	priv := NewPrivate(NewShared(), opt)
-	core := pipeline.New(cfg, feed, dir, priv.L1I, priv.L1D)
-	core.Hooks.OnLoadAccess = priv.LoadHook()
-	return core, priv
 }

@@ -228,10 +228,15 @@ func (c *Core) Flush() {
 	c.feederDone = false
 }
 
+// DeadlockGuard is the cycle past which a run still short of budget
+// committed instructions gives up and sets Metrics.Deadlocked. Core.Run
+// and core.System.RunContext both stop there.
+func DeadlockGuard(budget uint64) uint64 { return budget*1000 + 1_000_000 }
+
 // Run executes until the feeder drains or maxInsts commit. It returns the
 // metrics (also available as c.M).
 func (c *Core) Run(maxInsts uint64) *Metrics {
-	guard := maxInsts*1000 + 1_000_000
+	guard := DeadlockGuard(maxInsts)
 	for !c.Done() && (maxInsts == 0 || c.M.Committed < maxInsts) {
 		c.Tick()
 		if c.M.Cycles > guard {
