@@ -61,17 +61,12 @@ func main() {
 		jobs      = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		maxBudget = flag.Uint64("max-budget", 10_000_000, "largest per-request budget override (0 = unlimited)")
 		inflight  = flag.Int("inflight", 64, "max concurrently admitted simulation requests (0 = unlimited)")
-		prepDir   = flag.String("prep-cache", "", "directory persisting preparation artifacts across restarts (empty = off)")
 		resDir    = flag.String("result-cache", "", "directory persisting finished run results across restarts (empty = off)")
 		resMax    = flag.Int("result-cache-max", 4096, "max entries the result cache retains before LRU eviction (0 = unlimited)")
 	)
 	flag.Parse()
 
-	opts := []lab.ClientOption{lab.WithBudget(*budget), lab.WithJobs(*jobs)}
-	if *prepDir != "" {
-		opts = append(opts, lab.WithPrepCache(*prepDir))
-	}
-	l, err := lab.New(opts...)
+	l, err := lab.New(lab.WithBudget(*budget), lab.WithJobs(*jobs))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "r3dlad: %v\n", err)
 		os.Exit(1)

@@ -1,8 +1,7 @@
 // Package atomicio is the one place the repo writes files atomically
-// and durably. Every store that used hand-rolled temp+rename (result
-// frames, prep-cache entries) had the same gap: nothing
-// called Sync, so a power loss after rename could leave a
-// renamed-but-empty frame — the name survived, the bytes didn't.
+// and durably. Every store that used hand-rolled temp+rename had the
+// same gap: nothing called Sync, so a power loss after rename could
+// leave a renamed-but-empty frame — the name survived, the bytes didn't.
 // WriteFile closes that gap with the full discipline: write to a
 // pid-unique temp file in the destination directory, fsync the file,
 // rename over the target, then fsync the parent directory so the rename

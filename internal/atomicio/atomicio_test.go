@@ -90,10 +90,10 @@ func TestTornWriteLeavesPartialFrame(t *testing.T) {
 // differs from what the caller handed in.
 func TestCorruptWriteFlipsOneByte(t *testing.T) {
 	p := faultinject.New(22)
-	p.MustArm(faultinject.Policy{Point: faultinject.PrepCacheStore, Mode: faultinject.Corrupt, Limit: 1})
+	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.Corrupt, Limit: 1})
 	path := filepath.Join(t.TempDir(), "entry")
 	data := bytes.Repeat([]byte("y"), 512)
-	if err := WriteFile(path, data, 0o644, p, faultinject.PrepCacheStore); err != nil {
+	if err := WriteFile(path, data, 0o644, p, faultinject.ResultStorePut); err != nil {
 		t.Fatalf("corrupt write should report success, got %v", err)
 	}
 	got, _ := os.ReadFile(path)

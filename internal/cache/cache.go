@@ -31,7 +31,6 @@ type Stats struct {
 	Writebacks uint64 // dirty evictions written to the next level
 	Discarded  uint64 // dirty evictions discarded (look-ahead mode)
 	PrefIssued uint64 // prefetch accesses reaching this level
-	PrefFills  uint64 // prefetch-installed lines
 	PrefUseful uint64 // prefetched lines later hit by demand
 	PrefWasted uint64 // prefetched lines evicted unused
 	MSHRStalls uint64 // accesses delayed by MSHR exhaustion
@@ -237,9 +236,9 @@ func (c *Cache) Contains(addr uint64, now uint64) bool {
 	return false
 }
 
-// InvalidateAll drops every line (used on look-ahead reboot: the paper
-// discards LT's dirty private state; clean lines may stay warm, but we
-// conservatively clear dirty ones only).
+// DropDirty invalidates every dirty line and leaves clean lines warm
+// (used on look-ahead reboot: the paper discards the LT's dirty private
+// state).
 func (c *Cache) DropDirty() {
 	for i := range c.lines {
 		if c.lines[i].dirty {

@@ -1,7 +1,7 @@
 // Package chaos is the soak harness behind `r3dla chaos`: it boots an
 // in-process mini-fleet of r3dlad servers on real loopback sockets, arms
 // a seeded fault schedule on every layer the fault plane reaches (result
-// store, prep cache, sweep journal, fleet transport, server handlers),
+// store, sweep journal, fleet transport, server handlers),
 // drives concurrent sweep + explore + run traffic through a fleet pool —
 // with scheduled hard kills and restarts of backends along the way — and
 // then asserts the system's robustness invariants:
@@ -198,8 +198,6 @@ func armSchedule(p *faultinject.Plane, seed int64) {
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.Torn, Limit: 1, After: s.Intn(3)})
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.Corrupt, Limit: 1, After: s.Intn(3)})
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.ENOSPC, Limit: 1})
-	p.MustArm(faultinject.Policy{Point: faultinject.PrepCacheLoad, Mode: faultinject.Error, Limit: 1})
-	p.MustArm(faultinject.Policy{Point: faultinject.PrepCacheStore, Mode: faultinject.Torn, Limit: 1})
 	p.MustArm(faultinject.Policy{Point: faultinject.JournalAppend, Mode: faultinject.Torn, Limit: 1, After: 1 + s.Intn(3)})
 	p.MustArm(faultinject.Policy{Point: faultinject.JournalAppend, Mode: faultinject.Corrupt, Limit: 1, After: 3 + s.Intn(3)})
 }
@@ -261,22 +259,12 @@ func (b *backend) shutdown() {
 	b.kill()
 }
 
-// newBackend boots one server: its own Lab (shared plane on the prep
-// cache), its own result store (shared plane), and the server-side
-// fault gate.
+// newBackend boots one server: its own Lab, its own result store
+// (shared plane), and the server-side fault gate.
 func newBackend(i int, dir string, budget uint64, plane *faultinject.Plane) (*backend, error) {
 	name := fmt.Sprintf("backend-%d", i)
 	storeDir := filepath.Join(dir, name, "store")
-	prepDir := filepath.Join(dir, name, "prep")
-	if err := os.MkdirAll(storeDir, 0o755); err != nil {
-		return nil, err
-	}
-	l, err := lab.New(
-		lab.WithBudget(budget),
-		lab.WithJobs(2),
-		lab.WithPrepCache(prepDir),
-		lab.WithFaults(plane),
-	)
+	l, err := lab.New(lab.WithBudget(budget), lab.WithJobs(2))
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +272,7 @@ func newBackend(i int, dir string, budget uint64, plane *faultinject.Plane) (*ba
 	if err != nil {
 		return nil, err
 	}
-	st.SetFaults(plane, faultinject.ResultStoreGet, faultinject.ResultStorePut)
+	st.SetFaults(plane)
 	api := lab.NewServer(l,
 		lab.WithMaxInflight(16),
 		lab.WithResultStore(st),

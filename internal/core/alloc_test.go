@@ -53,9 +53,9 @@ func TestSkeletonBuildAllocsBounded(t *testing.T) {
 	g := newGenerator(prog, prof)
 	memSeeds := g.memorySeeds()
 	biased := g.biasedBranches()
-	g.build("warmup", memSeeds, nil, biased)
+	g.build("warmup", memSeeds, biased)
 	allocs := testing.AllocsPerRun(20, func() {
-		g.build("steady", memSeeds, nil, biased)
+		g.build("steady", memSeeds, biased)
 	})
 	const maxAllocs = 64
 	if allocs > maxAllocs {

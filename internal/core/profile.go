@@ -96,10 +96,6 @@ type Profile struct {
 	// LoopBranch[pc] = innermost enclosing backward-branch PC, or -1.
 	LoopBranch []int
 
-	// PerLoopSpeed, filled by TrainRecycle, maps loop-branch PC ->
-	// skeleton version -> measured IPC (static recycle tuning).
-	PerLoopSpeed map[int][]float64
-
 	Insts uint64
 }
 

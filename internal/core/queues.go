@@ -1,11 +1,10 @@
 package core
 
-// BOQEntry is one Branch Outcome Queue entry: a direction bit plus a
-// footnote marker (Sec. III-A(ii)).
+// BOQEntry is one Branch Outcome Queue entry: a direction bit and its
+// push index.
 type BOQEntry struct {
-	Taken    bool
-	Footnote bool
-	Index    uint64 // monotonically increasing push index (epoch)
+	Taken bool
+	Index uint64 // monotonically increasing push index (epoch)
 }
 
 // BOQ is the Branch Outcome Queue: a bounded FIFO of branch outcomes
@@ -83,7 +82,6 @@ type FQKind uint8
 // Footnote payload kinds.
 const (
 	FQL1Prefetch FQKind = iota // L1 prefetch target address
-	FQL2Prefetch               // L2 prefetch target address
 	FQIndirect                 // indirect branch target
 	FQValue                    // value-reuse payload
 )

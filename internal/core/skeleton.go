@@ -88,17 +88,17 @@ func Generate(prog *isa.Program, prof *Profile) *Set {
 
 	// Baseline DLA skeleton: all control + all memory seeds (T1 is an R3
 	// optimization; the baseline keeps strided loads in the skeleton).
-	set.Baseline = g.build("base", memSeeds, nil, nil)
+	set.Baseline = g.build("base", memSeeds, nil)
 
 	// Recycle pool: the "reduced" skeleton (minus T1 loads) combined with
 	// the Sec. III-E1 options.
 	set.Versions = []*Skeleton{
-		g.build("reduced", memMinus, nil, nil),
-		g.build("reduced+L1", union(memMinus, l1Targets), nil, nil),
-		g.build("reduced+VR", union(memMinus, valueTargets), nil, nil),
-		g.build("reduced+bias", memMinus, nil, biased),
-		g.build("reduced+T1back", memSeeds, nil, nil),
-		g.build("reduced+L1+VR+bias", union(union(memMinus, l1Targets), valueTargets), nil, biased),
+		g.build("reduced", memMinus, nil),
+		g.build("reduced+L1", union(memMinus, l1Targets), nil),
+		g.build("reduced+VR", union(memMinus, valueTargets), nil),
+		g.build("reduced+bias", memMinus, biased),
+		g.build("reduced+T1back", memSeeds, nil),
+		g.build("reduced+L1+VR+bias", union(union(memMinus, l1Targets), valueTargets), biased),
 	}
 	return set
 }
@@ -130,7 +130,7 @@ func GenerateSlipstream(prog *isa.Program, prof *Profile) *Set {
 			biased[pc] = taken
 		}
 	}
-	s := g.build("slipstream", allMem, nil, biased)
+	s := g.build("slipstream", allMem, biased)
 	return &Set{
 		Prog:     prog,
 		Baseline: s,
@@ -165,7 +165,7 @@ func GenerateCRE(prog *isa.Program, prof *Profile) *Set {
 		seeds[l.pc] = true
 		cum += l.misses
 	}
-	s := g.build("cre-chains", seeds, nil, nil)
+	s := g.build("cre-chains", seeds, nil)
 	return &Set{
 		Prog:     prog,
 		Baseline: s,
@@ -196,8 +196,8 @@ func makeNegOnes(n int) []int {
 	return out
 }
 
-// EmptySkeleton returns a skeleton that executes nothing (the SMT
-// recycling option that gives all resources to the main thread).
+// EmptySkeleton returns a skeleton that executes nothing: the look-ahead
+// thread runs no instruction and produces no outcome.
 func EmptySkeleton(prog *isa.Program) *Skeleton {
 	s := &Skeleton{
 		Name:    "empty",
@@ -396,9 +396,9 @@ func (g *generator) biasedBranches() map[int]bool {
 }
 
 // build produces one skeleton version: control seeds + the given memory
-// seeds + extra seeds, with biased branches (if any) converted to forced
-// direction (their operand chains are then not needed).
-func (g *generator) build(name string, memSeeds, extraSeeds, forced map[int]bool) *Skeleton {
+// seeds, with biased branches (if any) converted to forced direction
+// (their operand chains are then not needed).
+func (g *generator) build(name string, memSeeds, forced map[int]bool) *Skeleton {
 	n := len(g.prog.Insts)
 	s := &Skeleton{
 		Name:    name,
@@ -463,16 +463,13 @@ func (g *generator) build(name string, memSeeds, extraSeeds, forced map[int]bool
 		}
 	}
 
-	// Seeds: all control instructions, the memory seeds, extras.
+	// Seeds: all control instructions and the memory seeds.
 	for pc := range g.prog.Insts {
 		if g.prog.Insts[pc].Op.IsControl() {
 			include(pc)
 		}
 	}
 	for pc := range memSeeds {
-		include(pc)
-	}
-	for pc := range extraSeeds {
 		include(pc)
 	}
 

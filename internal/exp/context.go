@@ -21,7 +21,6 @@ import (
 	"r3dla/internal/emu"
 	"r3dla/internal/isa"
 	"r3dla/internal/memo"
-	"r3dla/internal/resultstore"
 	"r3dla/internal/workloads"
 )
 
@@ -67,12 +66,6 @@ type Context struct {
 	// LogW receives Verbose per-workload detail lines (default
 	// os.Stdout). Writes are serialized by the Context.
 	LogW io.Writer
-
-	// Cache, when non-nil, persists preparation artifacts across
-	// processes: prep consults it before running the training
-	// simulation and stores what it generates. Open it with PrepFormat.
-	// Set before first use.
-	Cache *resultstore.Store
 
 	ctx context.Context // cancellation (Background from NewContext)
 
@@ -359,22 +352,8 @@ func (c *Context) prep(name string) *Prepared {
 	}
 	trainProg, trainSetup := w.Build(TrainSeed)
 	evalProg, evalSetup := w.Build(EvalSeed)
-	var key string
-	if c.Cache != nil {
-		key = prepKey(name, c.TrainBudget, trainProg, evalProg)
-		if prof, set, ok := loadPrep(c.Cache, key, evalProg); ok {
-			c.Logf("  [prep] %-9s loaded from prep cache\n", name)
-			return &Prepared{W: w, Prog: evalProg, Setup: evalSetup, Prof: prof, Set: set}
-		}
-	}
 	prof := core.Collect(trainProg, trainSetup, c.TrainBudget)
-	set := core.Generate(evalProg, prof)
-	if c.Cache != nil {
-		if err := storePrep(c.Cache, key, prof, set); err != nil {
-			c.Logf("  [prep] %-9s prep-cache store failed: %v\n", name, err)
-		}
-	}
-	return &Prepared{W: w, Prog: evalProg, Setup: evalSetup, Prof: prof, Set: set}
+	return &Prepared{W: w, Prog: evalProg, Setup: evalSetup, Prof: prof, Set: core.Generate(evalProg, prof)}
 }
 
 // PrepCount reports how many times preparation actually executed for a

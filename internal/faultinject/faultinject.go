@@ -41,18 +41,13 @@ var ErrInjected = errors.New("faultinject: injected fault")
 // component that consults the plane; Arm rejects unregistered names so a
 // typo'd schedule fails loudly instead of silently arming nothing.
 const (
-	// ResultStoreGet fires on a server result store's Get: an error
+	// ResultStoreGet fires on a result store's Get: an error
 	// reads as a miss, a delay models slow disk.
 	ResultStoreGet = "resultstore.get"
-	// ResultStorePut fires on a server result store's Put: torn simulates
+	// ResultStorePut fires on a result store's Put: torn simulates
 	// a crash mid-write (a truncated frame at the final path), corrupt
 	// flips one byte silently, enospc/error fail the write.
 	ResultStorePut = "resultstore.put"
-	// PrepCacheLoad fires on a Lab prep store's Get (error = miss, delay).
-	PrepCacheLoad = "prepcache.load"
-	// PrepCacheStore fires on a Lab prep store's Put (torn, corrupt,
-	// enospc, error, delay — the same write faults as ResultStorePut).
-	PrepCacheStore = "prepcache.store"
 	// JournalAppend fires on each sweep-journal line append: torn writes
 	// a line prefix with no terminator, corrupt flips a byte in the
 	// line; both are silent (the damage surfaces only on resume, where
@@ -81,8 +76,6 @@ type PointInfo struct {
 var registry = map[string]string{
 	ResultStoreGet: "result-store read (error = miss, delay)",
 	ResultStorePut: "result-store write (torn, corrupt, enospc, error, delay)",
-	PrepCacheLoad:  "prep-cache read (error = miss, delay)",
-	PrepCacheStore: "prep-cache write (torn, corrupt, enospc, error, delay)",
 	JournalAppend:  "sweep-journal line append (torn, corrupt, enospc, error, delay)",
 	JournalLoad:    "sweep-journal load on resume (error, delay)",
 	RemoteConnect:  "fleet HTTP round trip (error = connect fault, delay = latency spike)",
@@ -356,8 +349,8 @@ func (p *Plane) Fires() map[string]int {
 	return out
 }
 
-// splitmix64: tiny, seedable, and stable — the same generator the dse
-// samplers rely on for replayable draws.
+// splitmix64: tiny, seedable, and stable, so every draw replays from
+// its seed.
 func next(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s

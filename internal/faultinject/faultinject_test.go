@@ -144,13 +144,13 @@ func TestInjectedErrorWrapping(t *testing.T) {
 	p := New(5)
 	sentinel := errors.New("boom")
 	p.MustArm(Policy{Point: ResultStoreGet, Mode: Error, Err: sentinel, Limit: 1})
-	p.MustArm(Policy{Point: PrepCacheStore, Mode: ENOSPC, Limit: 1})
+	p.MustArm(Policy{Point: ResultStorePut, Mode: ENOSPC, Limit: 1})
 
 	o := p.At(ResultStoreGet)
 	if !errors.Is(o.Err, ErrInjected) || !errors.Is(o.Err, sentinel) {
 		t.Fatalf("error outcome %v should match ErrInjected and the sentinel", o.Err)
 	}
-	o = p.At(PrepCacheStore)
+	o = p.At(ResultStorePut)
 	if !errors.Is(o.Err, ErrInjected) || !errors.Is(o.Err, syscall.ENOSPC) {
 		t.Fatalf("enospc outcome %v should match ErrInjected and syscall.ENOSPC", o.Err)
 	}

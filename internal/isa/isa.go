@@ -188,7 +188,6 @@ const (
 	FPRegBase  = NumIntRegs
 	NoReg      = 0xFF // sentinel: operand slot unused
 	InstBytes  = 4    // instruction footprint for I-cache addressing
-	WordBytes  = 8    // data memory word size
 )
 
 // FReg converts an FP register number (0..31) to its architectural index.

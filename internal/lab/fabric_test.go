@@ -266,20 +266,25 @@ func TestServerResultStoreRestart(t *testing.T) {
 	if c := l2.RunCount(); c != 0 {
 		t.Fatalf("restarted server executed %d simulations, want 0 (store hits)", c)
 	}
+	// A store hit answers before Prepare, so a restarted server prepares
+	// a workload only for a cell it has never stored.
+	if n := l2.PrepCount("mcf"); n != 0 {
+		t.Fatalf("store hits prepared mcf %d times, want 0", n)
+	}
 	var st Stats
 	getJSON(t, srv2.URL+"/v1/stats", &st)
 	if st.Store.Hits != int64(len(bodies)) || st.Completed != int64(len(bodies)) {
 		t.Fatalf("warm stats %+v, want %d store hits and completed", st, len(bodies))
 	}
-	// A default-budget request hits the same entry: budget 0 resolves to
-	// the server's default before the key is formed.
-	status, def := postRun(t, srv2.URL, `{"workload":"mcf","config":{"preset":"r3"},"budget":2000}`)
-	if status != http.StatusOK {
-		t.Fatal("default-budget request failed")
+	// A budget the store has never seen misses, prepares and simulates.
+	if status, _ := postRun(t, srv2.URL, `{"workload":"mcf","config":{"preset":"r3"},"budget":2000}`); status != http.StatusOK {
+		t.Fatal("distinct-budget request failed")
 	}
-	_ = def
 	if c := l2.RunCount(); c != 1 {
 		t.Fatalf("distinct budget should simulate once, got %d", c)
+	}
+	if n := l2.PrepCount("mcf"); n != 1 {
+		t.Fatalf("distinct budget prepared mcf %d times, want 1", n)
 	}
 }
 

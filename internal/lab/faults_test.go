@@ -1,7 +1,6 @@
 package lab
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -69,63 +68,5 @@ func TestServerInjectedDelay(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
 		t.Fatalf("injected delay did not stall the response: %v", elapsed)
-	}
-}
-
-// TestLabWithFaultsReachesPrepCache: WithFaults must arm the plane on
-// the Lab's prep cache regardless of option order — the injected load
-// fault fires (proving the wiring) and reads as a silent miss, so the
-// run still succeeds against a warm cache.
-func TestLabWithFaultsReachesPrepCache(t *testing.T) {
-	dir := t.TempDir()
-	req := RunRequest{Workload: "mcf", Config: ConfigSpec{Preset: "dla"}, Budget: 2000}
-
-	// Warm the cache with a fault-free Lab.
-	warm, err := New(WithBudget(2000), WithPrepCache(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.Run(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name string
-		opts func(p *faultinject.Plane) []ClientOption
-	}{
-		{"faults-first", func(p *faultinject.Plane) []ClientOption {
-			return []ClientOption{WithFaults(p), WithBudget(2000), WithPrepCache(dir)}
-		}},
-		{"faults-last", func(p *faultinject.Plane) []ClientOption {
-			return []ClientOption{WithBudget(2000), WithPrepCache(dir), WithFaults(p)}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := faultinject.New(73)
-			p.MustArm(faultinject.Policy{Point: faultinject.PrepCacheLoad, Mode: faultinject.Error, Limit: 1})
-			l, err := New(tc.opts(p)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := l.Run(context.Background(), req); err != nil {
-				t.Fatalf("run with injected prep-cache miss failed: %v", err)
-			}
-			if got := p.Fires()[faultinject.PrepCacheLoad]; got != 1 {
-				t.Fatalf("plane fired %d times, want 1 (WithFaults not threaded to the prep cache)", got)
-			}
-		})
-	}
-}
-
-// TestLabWithFaultsWithoutPrepCache: arming faults on a Lab with no prep
-// cache must not panic.
-func TestLabWithFaultsWithoutPrepCache(t *testing.T) {
-	p := faultinject.New(74)
-	l, err := New(WithBudget(2000), WithFaults(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Run(context.Background(), RunRequest{Workload: "mcf", Config: ConfigSpec{Preset: "dla"}, Budget: 2000}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -11,10 +11,8 @@ import (
 	"r3dla/internal/emu"
 	"r3dla/internal/energy"
 	"r3dla/internal/exp"
-	"r3dla/internal/faultinject"
 	"r3dla/internal/isa"
 	"r3dla/internal/pipeline"
-	"r3dla/internal/resultstore"
 	"r3dla/internal/workloads"
 )
 
@@ -49,11 +47,6 @@ type Lab struct {
 	// WithBudget doesn't silently overwrite it (options are
 	// order-independent).
 	trainSet bool
-
-	// faults is recorded during option processing and wired to the prep
-	// cache in New after all options ran, so WithFaults and
-	// WithPrepCache compose in either order.
-	faults *faultinject.Plane
 }
 
 // ClientOption configures a Lab at construction.
@@ -99,33 +92,6 @@ func WithProgress(f func(Event)) ClientOption {
 	return func(l *Lab) error { l.c.Progress = f; return nil }
 }
 
-// WithPrepCache persists preparation artifacts (profiles + skeletons) in
-// dir, surviving process restarts: a new Lab over a warm directory serves
-// its first Prepare from a file read instead of re-simulating the
-// training run. Entries are checksummed internal/resultstore entries
-// whose keys carry the workload programs' fingerprint, so stale or
-// damaged ones silently regenerate.
-func WithPrepCache(dir string) ClientOption {
-	return func(l *Lab) error {
-		st, err := resultstore.Open(dir, exp.PrepFormat, 0)
-		if err != nil {
-			return err
-		}
-		l.c.Cache = st
-		return nil
-	}
-}
-
-// WithFaults arms a fault-injection plane on the Lab's durable layers
-// (currently the prep cache, when one is configured). A nil plane is a
-// no-op; production Labs never pay for the hook.
-func WithFaults(p *faultinject.Plane) ClientOption {
-	return func(l *Lab) error {
-		l.faults = p
-		return nil
-	}
-}
-
 // WithDetailLog enables verbose per-workload detail lines on w.
 func WithDetailLog(w io.Writer) ClientOption {
 	return func(l *Lab) error {
@@ -142,9 +108,6 @@ func New(opts ...ClientOption) (*Lab, error) {
 		if err := o(l); err != nil {
 			return nil, err
 		}
-	}
-	if l.faults != nil && l.c.Cache != nil {
-		l.c.Cache.SetFaults(l.faults, faultinject.PrepCacheLoad, faultinject.PrepCacheStore)
 	}
 	return l, nil
 }

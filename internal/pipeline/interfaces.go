@@ -66,14 +66,6 @@ func (t *TageSource) PredictAndTrain(pc int, actual bool, now uint64) (bool, boo
 	return pred, true
 }
 
-// DirFunc adapts a function to the DirectionSource interface.
-type DirFunc func(pc int, actual bool, now uint64) (bool, bool)
-
-// PredictAndTrain calls the function.
-func (f DirFunc) PredictAndTrain(pc int, actual bool, now uint64) (bool, bool) {
-	return f(pc, actual, now)
-}
-
 // ValueSource provides value predictions (DLA value reuse). Lookup is
 // consulted at dispatch for every value-producing instruction.
 type ValueSource interface {
@@ -160,12 +152,4 @@ func (m *Metrics) IPC() float64 {
 		return 0
 	}
 	return float64(m.Committed) / float64(m.Cycles)
-}
-
-// BranchMPKI reports direction mispredicts per kilo committed instruction.
-func (m *Metrics) BranchMPKI() float64 {
-	if m.Committed == 0 {
-		return 0
-	}
-	return float64(m.DirMispredicts) / float64(m.Committed) * 1000
 }

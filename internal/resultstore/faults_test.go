@@ -18,7 +18,7 @@ func TestTornPutReadsAsSilentMiss(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	p := faultinject.New(31)
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.Torn, Limit: 1})
-	s.SetFaults(p, faultinject.ResultStoreGet, faultinject.ResultStorePut)
+	s.SetFaults(p)
 
 	key := "mcf|r3@4000"
 	payload := []byte("the cached answer bytes, long enough to tear meaningfully")
@@ -50,7 +50,7 @@ func TestCorruptPutCaughtByChecksum(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	p := faultinject.New(32)
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.Corrupt, Limit: 1})
-	s.SetFaults(p, faultinject.ResultStoreGet, faultinject.ResultStorePut)
+	s.SetFaults(p)
 
 	key := "libq|dla@2000"
 	if err := s.Put(key, []byte("payload that will rot on the way down")); err != nil {
@@ -65,7 +65,7 @@ func TestENOSPCPutSurfacesError(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	p := faultinject.New(33)
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.ENOSPC, Limit: 1})
-	s.SetFaults(p, faultinject.ResultStoreGet, faultinject.ResultStorePut)
+	s.SetFaults(p)
 
 	err := s.Put("k", []byte("v"))
 	if !errors.Is(err, syscall.ENOSPC) {
@@ -89,7 +89,7 @@ func TestInjectedGetFaultIsMiss(t *testing.T) {
 	}
 	p := faultinject.New(34)
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStoreGet, Mode: faultinject.Error, Limit: 1})
-	s.SetFaults(p, faultinject.ResultStoreGet, faultinject.ResultStorePut)
+	s.SetFaults(p)
 
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("injected read fault served a hit")
@@ -109,7 +109,7 @@ func TestNoTempLitterAfterFaults(t *testing.T) {
 	s := open(t, dir, 0)
 	p := faultinject.New(35)
 	p.MustArm(faultinject.Policy{Point: faultinject.ResultStorePut, Mode: faultinject.ENOSPC, Prob: 0.5})
-	s.SetFaults(p, faultinject.ResultStoreGet, faultinject.ResultStorePut)
+	s.SetFaults(p)
 	for i := 0; i < 20; i++ {
 		s.Put("k", []byte("v")) // errors expected; litter is not
 	}

@@ -3,8 +3,7 @@
 // imports the types it persists. It holds r3dlad's finished simulation
 // answers (keyed workload|configKey@budget, so a restarted server or a
 // sibling process sharing the directory serves a repeated request from a
-// file read), the Lab's preparation artifacts (internal/exp) and tier
-// calibrations (internal/tier).
+// file read) and tier calibrations (internal/tier).
 //
 // Every entry is one frame: a magic/version/fingerprint/key/length/
 // checksum header guards the payload, writes are atomic and durable
@@ -64,11 +63,10 @@ type Stats struct {
 // Store is a directory of entries plus an in-memory LRU index.
 // The zero value is not usable; call Open.
 type Store struct {
-	dir          string
-	fp           uint64             // caller's fingerprint, folded into every entry header
-	max          int                // entry bound (0 = unlimited)
-	faults       *faultinject.Plane // nil in production; Get/Put fault gates
-	getPt, putPt string             // the fault points Get and Put consult
+	dir    string
+	fp     uint64             // caller's fingerprint, folded into every entry header
+	max    int                // entry bound (0 = unlimited)
+	faults *faultinject.Plane // nil in production; Get/Put fault gates
 
 	mu      sync.Mutex
 	order   []string // keys, least-recently-used first
@@ -100,11 +98,10 @@ func Open(dir string, fingerprint uint64, maxEntries int) (*Store, error) {
 }
 
 // SetFaults attaches a fault-injection plane (nil detaches) that Get
-// consults at point get and Put at point put. Chaos-only: call before
-// the store sees traffic.
-func (s *Store) SetFaults(p *faultinject.Plane, get, put string) {
-	s.faults, s.getPt, s.putPt = p, get, put
-}
+// consults at faultinject.ResultStoreGet and Put at
+// faultinject.ResultStorePut. Chaos-only: call before the store sees
+// traffic.
+func (s *Store) SetFaults(p *faultinject.Plane) { s.faults = p }
 
 // Len reports the live entry count.
 func (s *Store) Len() int {
@@ -273,7 +270,7 @@ func (s *Store) decode(raw []byte, key string) ([]byte, bool) {
 // order survives restarts).
 func (s *Store) Get(key string) ([]byte, bool) {
 	if s.faults != nil {
-		o := s.faults.At(s.getPt)
+		o := s.faults.At(faultinject.ResultStoreGet)
 		if o.Delay > 0 {
 			time.Sleep(o.Delay)
 		}
@@ -317,7 +314,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // file, and a power loss after Put returns cannot roll the entry back.
 func (s *Store) Put(key string, payload []byte) error {
 	framed := s.encode(key, payload)
-	if err := atomicio.WriteFile(s.path(key), framed, 0o644, s.faults, s.putPt); err != nil {
+	if err := atomicio.WriteFile(s.path(key), framed, 0o644, s.faults, faultinject.ResultStorePut); err != nil {
 		return fmt.Errorf("resultstore: write %s: %w", key, err)
 	}
 	s.mu.Lock()

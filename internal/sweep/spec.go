@@ -98,9 +98,6 @@ func (a Axis) Len() int { return len(a.labels) }
 // Label renders value i for tables and error messages.
 func (a Axis) Label(i int) string { return a.labels[i] }
 
-// Apply sets value i on a cell's ConfigSpec.
-func (a Axis) Apply(s *lab.ConfigSpec, i int) { a.apply(s, i) }
-
 func boolAxis(name string, vals []bool, set func(s *lab.ConfigSpec, v *bool)) Axis {
 	labels := make([]string, len(vals))
 	for i, v := range vals {

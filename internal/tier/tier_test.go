@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"r3dla/internal/exp"
 	"r3dla/internal/lab"
 	"r3dla/internal/resultstore"
 )
@@ -217,15 +216,15 @@ func TestEstimatorErrorBand(t *testing.T) {
 
 // TestCalibrationCacheReuse proves the "captured once, cached on disk"
 // contract: a second process (fresh Lab over the same cache directory)
-// prices cells without a single simulation.
+// prices cells without a single memoized simulation. It still prepares
+// the workload; the calibration's own runs are what the store saves.
 func TestCalibrationCacheReuse(t *testing.T) {
-	dir := t.TempDir()
-	pc, err := resultstore.Open(dir, exp.PrepFormat, 0)
+	pc, err := resultstore.Open(t.TempDir(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	l1, err := lab.New(lab.WithBudget(testBudget), lab.WithPrepCache(dir))
+	l1, err := lab.New(lab.WithBudget(testBudget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +237,7 @@ func TestCalibrationCacheReuse(t *testing.T) {
 		t.Fatal("cold calibration ran no simulations?")
 	}
 
-	l2, err := lab.New(lab.WithBudget(testBudget), lab.WithPrepCache(dir))
+	l2, err := lab.New(lab.WithBudget(testBudget))
 	if err != nil {
 		t.Fatal(err)
 	}
