@@ -44,9 +44,13 @@ type Predictor struct {
 	// prediction bookkeeping between Predict and Update
 	lastPC       int
 	provider     int // table index of provider, -1 = bimodal
-	providerIdx  uint32
 	altPred      bool
 	providerPred bool
+	// idxs and tags hold each tagged table's index and tag for lastPC, as
+	// Predict computed them. Predict looks at every table above the
+	// provider, which are the ones allocate claims from, and the history
+	// does not move until Update has allocated, so allocate reuses them.
+	idxs, tags []uint32
 
 	// stats
 	Lookups uint64
@@ -58,26 +62,27 @@ func NewPredictor(cfg Config) *Predictor {
 	p := &Predictor{cfg: cfg}
 	p.bimodal = make([]int8, 1<<cfg.BimodalBits)
 	p.tables = make([][]tageEntry, len(cfg.HistLengths))
+	p.idxs = make([]uint32, len(cfg.HistLengths))
+	p.tags = make([]uint32, len(cfg.HistLengths))
 	for i := range p.tables {
 		p.tables[i] = make([]tageEntry, 1<<cfg.TableBits)
 	}
 	return p
 }
 
-// fold compresses the low n bits of h into bits.
+// fold compresses the low n bits of h into bits, XORing in one chunk of
+// bits at a time; the last chunk is a whole one too, even where fewer
+// than bits of the n remain. It stops once the rest of h is zero, where
+// every further chunk would XOR in nothing: h holds 64 bits, so a
+// history longer than that ends there.
 func fold(h uint64, n, bits int) uint32 {
 	var f uint32
 	mask := uint64(1)<<uint(bits) - 1
-	for n > 0 {
-		take := bits
-		if n < take {
-			take = n
-		}
+	for ; n > 0 && h != 0; n -= bits {
 		f ^= uint32(h & mask)
-		h >>= uint(take)
-		n -= take
+		h >>= uint(bits)
 	}
-	return f & uint32(mask)
+	return f
 }
 
 func (p *Predictor) index(pc, table int) uint32 {
@@ -108,12 +113,11 @@ func (p *Predictor) Predict(pc int) bool {
 	p.altPred = p.bimodal[p.bimodalIdx(pc)] >= 0
 	p.providerPred = p.altPred
 	for t := len(p.tables) - 1; t >= 0; t-- {
-		idx := p.index(pc, t)
-		e := &p.tables[t][idx]
-		if e.tag == p.tag(pc, t) {
+		p.idxs[t], p.tags[t] = p.index(pc, t), p.tag(pc, t)
+		e := &p.tables[t][p.idxs[t]]
+		if e.tag == p.tags[t] {
 			if p.provider < 0 {
 				p.provider = t
-				p.providerIdx = idx
 				p.providerPred = e.ctr >= 0
 			} else {
 				p.altPred = e.ctr >= 0
@@ -139,7 +143,7 @@ func (p *Predictor) Update(pc int, taken bool) {
 	correct := false
 	if p.provider >= 0 {
 		correct = p.providerPred == taken
-		e := &p.tables[p.provider][p.providerIdx]
+		e := &p.tables[p.provider][p.idxs[p.provider]]
 		e.ctr = satInc(e.ctr, taken, 3)
 		if p.providerPred != p.altPred {
 			if correct {
@@ -156,7 +160,7 @@ func (p *Predictor) Update(pc int, taken bool) {
 	}
 	if !correct {
 		p.Mispred++
-		p.allocate(pc, taken)
+		p.allocate(taken)
 	}
 	p.clock++
 	if p.cfg.UsefulResetK > 0 && p.clock%uint64(p.cfg.UsefulResetK) == 0 {
@@ -171,13 +175,12 @@ func (p *Predictor) updateBimodal(pc int, taken bool) {
 }
 
 // allocate claims an entry in a longer-history table after a misprediction.
-func (p *Predictor) allocate(pc int, taken bool) {
+func (p *Predictor) allocate(taken bool) {
 	start := p.provider + 1
 	for t := start; t < len(p.tables); t++ {
-		idx := p.index(pc, t)
-		e := &p.tables[t][idx]
+		e := &p.tables[t][p.idxs[t]]
 		if e.useful == 0 {
-			e.tag = p.tag(pc, t)
+			e.tag = p.tags[t]
 			e.useful = 0
 			if taken {
 				e.ctr = 0
@@ -189,7 +192,7 @@ func (p *Predictor) allocate(pc int, taken bool) {
 	}
 	// No free entry: decay usefulness along the path.
 	for t := start; t < len(p.tables); t++ {
-		e := &p.tables[t][p.index(pc, t)]
+		e := &p.tables[t][p.idxs[t]]
 		if e.useful > 0 {
 			e.useful--
 		}

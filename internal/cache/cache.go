@@ -58,6 +58,7 @@ type line struct {
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg      Config
+	level    int // levelOf(cfg.Name), the level a hit reports
 	sets     int
 	setMask  uint64
 	lines    []line // sets*ways, way-major within set
@@ -85,6 +86,7 @@ func New(cfg Config, next Level) *Cache {
 	}
 	return &Cache{
 		cfg:     cfg,
+		level:   levelOf(cfg.Name),
 		sets:    sets,
 		setMask: uint64(sets - 1),
 		lines:   make([]line, sets*cfg.Ways),
@@ -142,14 +144,14 @@ func (c *Cache) Access(addr uint64, write, prefetch bool, now uint64) Result {
 				c.Stats.PrefUseful++
 			}
 			done := now + c.cfg.Latency
-			hitLvl := levelOf(c.cfg.Name)
+			hitLvl := c.level
 			if ln.readyAt > now { // merge with in-flight fill
 				if !prefetch {
 					c.Stats.Misses++
 					c.Stats.MergedMiss++
 				}
 				done = ln.readyAt + c.cfg.Latency
-				hitLvl = levelOf(c.cfg.Name) + 1 // data actually came from below
+				hitLvl = c.level + 1 // data actually came from below
 			}
 			if c.Observer != nil && !prefetch {
 				c.Observer(addr, ln.readyAt <= now, now)
@@ -238,11 +240,12 @@ func (c *Cache) Contains(addr uint64, now uint64) bool {
 
 // DropDirty invalidates every dirty line and leaves clean lines warm
 // (used on look-ahead reboot: the paper discards the LT's dirty private
-// state).
+// state). A dropped line is clean as well as invalid, so it counts in
+// Stats.Discarded once, not again at every later reboot.
 func (c *Cache) DropDirty() {
 	for i := range c.lines {
-		if c.lines[i].dirty {
-			c.lines[i].valid = false
+		if ln := &c.lines[i]; ln.dirty {
+			ln.valid, ln.dirty = false, false
 			c.Stats.Discarded++
 		}
 	}

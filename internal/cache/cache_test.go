@@ -181,6 +181,19 @@ func TestDropDirty(t *testing.T) {
 	}
 }
 
+// A line DropDirty drops is gone, so a later reboot has nothing more to
+// discard: one dirty line over three reboots counts once.
+func TestDropDirtyCountsEachLineOnce(t *testing.T) {
+	c, _ := testCache(8)
+	c.Access(0x40, true, false, 0)
+	for range 3 {
+		c.DropDirty()
+	}
+	if c.Stats.Discarded != 1 {
+		t.Fatalf("discarded = %d after three reboots over one dirty line, want 1", c.Stats.Discarded)
+	}
+}
+
 func TestMPKI(t *testing.T) {
 	s := Stats{Misses: 5}
 	if got := s.MPKI(1000); got != 5 {

@@ -57,9 +57,9 @@ func (f *SkeletonFeeder) Peek() (*emu.DynInst, bool) {
 			continue
 		}
 		if taken, forced := f.skel.Forced(pc); forced {
-			f.cur = f.M.StepForced(taken)
+			f.M.StepForced(taken, &f.cur)
 		} else {
-			f.cur = f.M.Step()
+			f.M.StepInto(&f.cur)
 		}
 		f.have = true
 		f.fed++

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -153,7 +154,8 @@ func TestStepForcedOverridesBranch(t *testing.T) {
 	b.Halt()
 	m := NewMachine(b.Program(), NewMemory())
 	m.Step() // li (expands to one addi)
-	d := m.StepForced(true)
+	var d DynInst
+	m.StepForced(true, &d)
 	if !d.Taken || d.NextPC != 0 {
 		t.Fatalf("forced branch not honored: %+v", d)
 	}
@@ -419,6 +421,101 @@ func TestMachineDeterminism(t *testing.T) {
 		}
 		if m1.Halted {
 			break
+		}
+	}
+}
+
+// randomOpsProgram builds a loop of random instructions that between them
+// write every field of a DynInst: integer and FP values, loads and
+// stores with their effective addresses, conditional branches taken and
+// not, direct and indirect calls and a return, an indirect jump and
+// NOPs. Registers 3-12 and F0-F7 hold the random data; r1 counts the
+// loop, r2 is the base address, r14 and r15 hold code addresses.
+func randomOpsProgram(seed int64) *isa.Program {
+	rng := rand.New(rand.NewSource(seed))
+	pick := func(ops ...isa.Op) isa.Op { return ops[rng.Intn(len(ops))] }
+	reg := func() uint8 { return uint8(rng.Intn(10) + 3) }
+	freg := func() uint8 { return isa.FReg(uint8(rng.Intn(8))) }
+	b := isa.NewBuilder("randops")
+	b.Li(1, 30)
+	b.Li(2, 1<<16)
+	b.LabelAddr(15, "sub")
+	b.Label("loop")
+	for i := range 60 {
+		switch rng.Intn(10) {
+		case 0:
+			b.R(pick(isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SLT), reg(), reg(), reg())
+		case 1:
+			b.I(pick(isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI, isa.SLTI, isa.LUI), reg(), reg(), rng.Int63n(64)-8)
+		case 2:
+			b.R(pick(isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FCVT, isa.FCMP), freg(), freg(), freg())
+		case 3:
+			b.Ld(reg(), 2, rng.Int63n(32)*8)
+		case 4:
+			b.St(reg(), 2, rng.Int63n(32)*8)
+		case 5:
+			b.Fld(freg(), 2, rng.Int63n(32)*8)
+		case 6:
+			b.Fst(freg(), 2, rng.Int63n(32)*8)
+		case 7:
+			skip := fmt.Sprintf("skip%d", i)
+			b.Br(pick(isa.BEQ, isa.BNE, isa.BLT, isa.BGE), reg(), reg(), skip)
+			b.I(isa.ADDI, reg(), reg(), 1)
+			b.Label(skip)
+		case 8:
+			if rng.Intn(2) == 0 {
+				b.Call("sub")
+			} else {
+				b.CallR(15)
+			}
+		default:
+			next := fmt.Sprintf("next%d", i)
+			b.LabelAddr(14, next)
+			b.Jr(14)
+			b.Nop()
+			b.Label(next)
+		}
+	}
+	b.I(isa.ADDI, 1, 1, -1)
+	b.Br(isa.BNE, 1, isa.RegZero, "loop")
+	b.Halt()
+	b.Label("sub")
+	b.R(isa.ADD, 3, 3, 4)
+	b.Ret()
+	return b.Program()
+}
+
+// TestStepIntoOverwritesTheRecord steps random programs into one reused
+// record, forcing a random direction on one step in four, beside a twin
+// machine that builds every record fresh. Each record must equal the
+// twin's: a field StepInto or StepForced left unwritten would still hold
+// the previous instruction's value. Steps past the halt take the halted
+// path.
+func TestStepIntoOverwritesTheRecord(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		p := randomOpsProgram(seed)
+		m, twin := NewMachine(p, NewMemory()), NewMachine(p, NewMemory())
+		rng := rand.New(rand.NewSource(seed))
+		var rec DynInst
+		for n, after := 0, 0; n < 20_000 && after < 3; n++ {
+			var want DynInst
+			if rng.Intn(4) == 0 {
+				taken := rng.Intn(2) == 0
+				m.StepForced(taken, &rec)
+				twin.StepForced(taken, &want)
+			} else {
+				m.StepInto(&rec)
+				want = twin.Step()
+			}
+			if rec != want {
+				t.Fatalf("seed %d, step %d: record %+v, fresh step %+v", seed, n, rec, want)
+			}
+			if twin.Halted {
+				after++
+			}
+		}
+		if !twin.Halted {
+			t.Fatalf("seed %d: no halt in 20,000 steps", seed)
 		}
 	}
 }

@@ -58,49 +58,54 @@ func b2u(b bool) uint64 {
 
 // Step executes the instruction at PC and returns its dynamic record.
 // Stepping a halted machine returns a HALT record without advancing.
-func (m *Machine) Step() DynInst {
-	if m.Halted {
-		return DynInst{Seq: m.Seq, PC: m.PC, In: &haltInst, NextPC: m.PC}
-	}
-	if m.PC < 0 || m.PC >= len(m.Prog.Insts) {
+func (m *Machine) Step() (d DynInst) { m.StepInto(&d); return }
+
+// StepInto is Step writing the record to *d, every field of it, instead
+// of returning it: a feeder steps into its own record, so a fetched
+// instruction is built once, in place.
+func (m *Machine) StepInto(d *DynInst) {
+	if m.Halted || m.PC < 0 || m.PC >= len(m.Prog.Insts) {
 		m.Halted = true
-		return DynInst{Seq: m.Seq, PC: m.PC, In: &haltInst, NextPC: m.PC}
+		*d = DynInst{Seq: m.Seq, PC: m.PC, In: &haltInst, NextPC: m.PC}
+		return
 	}
-	in := &m.Prog.Insts[m.PC]
-	d := m.exec(in)
+	m.exec(&m.Prog.Insts[m.PC], d)
 	m.Seq++
 	m.PC = d.NextPC
-	return d
 }
 
 var haltInst = isa.Inst{Op: isa.HALT}
 
 // StepForced executes the conditional branch at PC with a forced direction
-// instead of evaluating its condition. It is used by look-ahead skeletons
-// that converted biased branches to unconditional flow. For non-branch
-// instructions it falls back to Step.
-func (m *Machine) StepForced(taken bool) DynInst {
+// instead of evaluating its condition, writing its record to *d. It is
+// used by look-ahead skeletons that converted biased branches to
+// unconditional flow. For non-branch instructions it falls back to
+// StepInto.
+func (m *Machine) StepForced(taken bool, d *DynInst) {
 	if m.Halted || m.PC < 0 || m.PC >= len(m.Prog.Insts) {
-		return m.Step()
+		m.StepInto(d)
+		return
 	}
 	in := &m.Prog.Insts[m.PC]
 	if !in.Op.IsCondBranch() {
-		return m.Step()
+		m.StepInto(d)
+		return
 	}
 	next := m.PC + 1
 	if taken {
 		next = int(in.Targ)
 	}
-	d := DynInst{Seq: m.Seq, PC: m.PC, In: in, NextPC: next, Taken: taken}
+	*d = DynInst{Seq: m.Seq, PC: m.PC, In: in, NextPC: next, Taken: taken}
 	m.Seq++
 	m.PC = next
-	return d
 }
 
 // exec executes in at the current PC, updating register/memory state, and
-// returns the dynamic record. It does not advance PC or Seq.
-func (m *Machine) exec(in *isa.Inst) DynInst {
-	d := DynInst{Seq: m.Seq, PC: m.PC, In: in, NextPC: m.PC + 1}
+// writes its dynamic record to *d. It overwrites the whole record first,
+// so no field of the instruction d held before survives. It does not
+// advance PC or Seq.
+func (m *Machine) exec(in *isa.Inst, d *DynInst) {
+	*d = DynInst{Seq: m.Seq, PC: m.PC, In: in, NextPC: m.PC + 1}
 	r := &m.Reg
 	rv := func(i uint8) uint64 {
 		if i == isa.RegZero {
@@ -222,7 +227,6 @@ func (m *Machine) exec(in *isa.Inst) DynInst {
 			d.NextPC = m.PC + 1
 		}
 	}
-	return d
 }
 
 // Run executes up to budget instructions or until HALT, discarding the

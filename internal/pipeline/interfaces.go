@@ -34,7 +34,7 @@ func (f *MachineFeeder) Peek() (*emu.DynInst, bool) {
 	if f.M.Halted || (f.Budget > 0 && f.fed >= f.Budget) {
 		return nil, false
 	}
-	f.cur = f.M.Step()
+	f.M.StepInto(&f.cur)
 	f.have = true
 	f.fed++
 	return &f.cur, true

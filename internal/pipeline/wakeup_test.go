@@ -108,14 +108,10 @@ func TestLoadForwardsFromYoungerOfTwoStores(t *testing.T) {
 	}
 }
 
-// TestIssueWakeIsExact steps every timing-golden case and checks, after
-// each cycle whose next issue call returns at once, that the walk it
-// skips would have done nothing: no waiting entry skips validation (the
-// walk completes those), and none whose producers have all issued is
-// ready before the wake. The goldens see a late wake only where it moves
-// a counter; this sees it in the cycle it happens.
-func TestIssueWakeIsExact(t *testing.T) {
-	var asleep uint64
+// eachTimingCycle steps every timing-golden case to the end, flushing
+// where the case does, and calls check after every cycle.
+func eachTimingCycle(t *testing.T, check func(name string, c *Core)) {
+	t.Helper()
 	for _, tc := range timingCases() {
 		cfg := tc.cfg
 		c := newTestCore(randomProgram(tc.seed), tc.memLat, func(x *Config) { *x = cfg })
@@ -128,24 +124,76 @@ func TestIssueWakeIsExact(t *testing.T) {
 			if c.M.Cycles > 10_000_000 {
 				t.Fatalf("%s: deadlock", tc.name)
 			}
-			if c.now >= c.issueWake {
-				continue
-			}
-			asleep++
-			for _, slot := range c.waitQ {
-				e := &c.rob[slot]
-				if e.skipVal {
-					t.Fatalf("%s, cycle %d: issue sleeps until %d over skip-validation entry %d",
-						tc.name, c.now, c.issueWake, e.d.Seq)
-				}
-				if e.pending == 0 && e.readyAt < c.issueWake {
-					t.Fatalf("%s, cycle %d: issue sleeps until %d, but entry %d is ready at %d",
-						tc.name, c.now, c.issueWake, e.d.Seq, e.readyAt)
-				}
-			}
+			check(tc.name, c)
 		}
 	}
+}
+
+// TestIssueWakeIsExact steps every timing-golden case and checks, after
+// each cycle whose next issue call returns at once, that the walk it
+// skips would have done nothing: no waiting entry skips validation (the
+// walk completes those), and none is ready before the wake. The goldens
+// see a late wake only where it moves a counter; this sees it in the
+// cycle it happens.
+func TestIssueWakeIsExact(t *testing.T) {
+	var asleep uint64
+	eachTimingCycle(t, func(name string, c *Core) {
+		if c.now >= c.issueWake {
+			return
+		}
+		asleep++
+		for _, slot := range c.waitQ {
+			e := &c.rob[slot]
+			if e.skipVal {
+				t.Fatalf("%s, cycle %d: issue sleeps until %d over skip-validation entry %d",
+					name, c.now, c.issueWake, e.d.Seq)
+			}
+			if e.readyAt < c.issueWake {
+				t.Fatalf("%s, cycle %d: issue sleeps until %d, but entry %d is ready at %d",
+					name, c.now, c.issueWake, e.d.Seq, e.readyAt)
+			}
+		}
+	})
 	if asleep == 0 {
 		t.Fatal("the issue stage never slept: the test checked nothing")
+	}
+}
+
+// TestWaitQueueHoldsArmedEntries steps every timing-golden case and
+// checks after each cycle that the wait queue is strictly increasing in
+// ring position from head and holds exactly the ROB's armed entries: the
+// live, unissued ones with no pending producer. TestIssueWakeIsExact
+// looks only inside the queue, so it would pass a queue that lost an
+// armed entry; the goldens see one only where it moves a counter.
+func TestWaitQueueHoldsArmedEntries(t *testing.T) {
+	var ordered uint64
+	eachTimingCycle(t, func(name string, c *Core) {
+		pos := -1
+		for _, slot := range c.waitQ {
+			p := wrap(int(slot)-c.head+len(c.rob), len(c.rob))
+			if p <= pos {
+				t.Fatalf("%s, cycle %d: wait queue %v is out of ring order from head %d", name, c.now, c.waitQ, c.head)
+			}
+			pos = p
+			if e := &c.rob[slot]; !e.live || e.issued || e.pending != 0 {
+				t.Fatalf("%s, cycle %d: wait queue holds slot %d (live %v, issued %v, pending %d)",
+					name, c.now, slot, e.live, e.issued, e.pending)
+			}
+		}
+		armed := 0
+		for i := range c.rob {
+			if e := &c.rob[i]; e.live && !e.issued && e.pending == 0 {
+				armed++
+			}
+		}
+		if armed != len(c.waitQ) {
+			t.Fatalf("%s, cycle %d: the ROB holds %d armed entries, the wait queue %d", name, c.now, armed, len(c.waitQ))
+		}
+		if len(c.waitQ) > 1 {
+			ordered++
+		}
+	})
+	if ordered == 0 {
+		t.Fatal("the wait queue never held two entries: the test checked no order")
 	}
 }
