@@ -65,6 +65,7 @@ type Cache struct {
 	next     Level
 	fills    []uint64 // outstanding fill completion times (MSHR occupancy)
 	useClock uint64
+	dirty    int // lines that are dirty, so DropDirty skips a clean cache
 
 	// DiscardDirty puts the cache in look-ahead containment mode: dirty
 	// evictions are dropped instead of written back.
@@ -136,8 +137,9 @@ func (c *Cache) Access(addr uint64, write, prefetch bool, now uint64) Result {
 		ln := &ws[i]
 		if ln.valid && ln.tag == tag {
 			ln.lastUse = c.useClock
-			if write {
+			if write && !ln.dirty {
 				ln.dirty = true
+				c.dirty++
 			}
 			if !prefetch && ln.pref {
 				ln.pref = false
@@ -200,6 +202,7 @@ func (c *Cache) Access(addr uint64, write, prefetch bool, now uint64) Result {
 			c.Stats.PrefWasted++
 		}
 		if v.dirty {
+			c.dirty--
 			if c.DiscardDirty {
 				c.Stats.Discarded++
 			} else {
@@ -209,6 +212,9 @@ func (c *Cache) Access(addr uint64, write, prefetch bool, now uint64) Result {
 		}
 	}
 	*v = line{tag: tag, valid: true, dirty: write, pref: prefetch, readyAt: fillDone, lastUse: c.useClock}
+	if write {
+		c.dirty++
+	}
 
 	if c.Observer != nil && !prefetch {
 		c.Observer(addr, false, now)
@@ -241,14 +247,20 @@ func (c *Cache) Contains(addr uint64, now uint64) bool {
 // DropDirty invalidates every dirty line and leaves clean lines warm
 // (used on look-ahead reboot: the paper discards the LT's dirty private
 // state). A dropped line is clean as well as invalid, so it counts in
-// Stats.Discarded once, not again at every later reboot.
+// Stats.Discarded once, not again at every later reboot. A cache with no
+// dirty line returns at once: only L1D is ever written, so the LT's L2
+// never walks its lines.
 func (c *Cache) DropDirty() {
+	if c.dirty == 0 {
+		return
+	}
 	for i := range c.lines {
 		if ln := &c.lines[i]; ln.dirty {
 			ln.valid, ln.dirty = false, false
 			c.Stats.Discarded++
 		}
 	}
+	c.dirty = 0
 }
 
 // MPKI computes demand misses per kilo-instruction.

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +193,63 @@ func TestDropDirtyCountsEachLineOnce(t *testing.T) {
 	}
 	if c.Stats.Discarded != 1 {
 		t.Fatalf("discarded = %d after three reboots over one dirty line, want 1", c.Stats.Discarded)
+	}
+}
+
+// dropAll is DropDirty as it was before the cache counted its dirty
+// lines: a walk of every line on every call.
+func dropAll(c *Cache) {
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.dirty {
+			ln.valid, ln.dirty = false, false
+			c.Stats.Discarded++
+		}
+	}
+}
+
+// TestDropDirtyMatchesFullWalk runs one seeded stream of reads, writes,
+// prefetches and reboots through two look-ahead caches: one reboots with
+// DropDirty, which skips a cache it counts clean, the other with the full
+// walk. Their lines and Stats must agree after every reboot, and the
+// count must match the dirty lines after every access: a count that ran
+// high would only cost walks, and one that ran low would skip a drop.
+func TestDropDirtyMatchesFullWalk(t *testing.T) {
+	c, _ := testCache(4)
+	ref, _ := testCache(4)
+	c.DiscardDirty, ref.DiscardDirty = true, true
+	rng := rand.New(rand.NewPCG(1, 2))
+	drops, skipped, now := 0, 0, uint64(0)
+	for i := range 200_000 {
+		addr := rng.Uint64N(64) << 6 // 64 blocks over the cache's 16 lines
+		write := rng.IntN(4) == 0
+		prefetch := !write && rng.IntN(8) == 0
+		c.Access(addr, write, prefetch, now)
+		ref.Access(addr, write, prefetch, now)
+		now += rng.Uint64N(40)
+		dirty := 0
+		for _, ln := range c.lines {
+			if ln.dirty {
+				dirty++
+			}
+		}
+		if c.dirty != dirty {
+			t.Fatalf("access %d: the cache counts %d dirty lines, holds %d", i, c.dirty, dirty)
+		}
+		if rng.IntN(16) != 0 {
+			continue
+		}
+		if dirty == 0 {
+			skipped++
+		}
+		c.DropDirty()
+		dropAll(ref)
+		drops++
+		if !slices.Equal(c.lines, ref.lines) || c.Stats != ref.Stats {
+			t.Fatalf("access %d, reboot %d: DropDirty left %+v, the full walk %+v", i, drops, c.Stats, ref.Stats)
+		}
+	}
+	if skipped == 0 || skipped == drops {
+		t.Fatalf("%d of %d reboots found the cache clean, want some but not all", skipped, drops)
 	}
 }
 

@@ -338,6 +338,74 @@ func TestForkWidensPrivately(t *testing.T) {
 	}
 }
 
+// TestFreeze: a frozen page is sparse exactly when that takes under half
+// of its dense bytes, byte-identical pages become one page within a
+// memory and across memories frozen through one table, every word reads
+// as it did before, and a write after the freeze leaves the other
+// holders of its page as they were.
+func TestFreeze(t *testing.T) {
+	// The last count of each width that is sparse, and the first that is
+	// not: 640 index bytes plus the packed words against half the page.
+	forms := []struct {
+		v      uint64
+		n      uint64 // nonzero words, at every other word
+		sparse bool
+	}{
+		{0x7f, 1400, true}, {0x7f, 1401, false},
+		{0x7fff, 1724, true}, {0x7fff, 1725, false},
+		{0x7fff_ffff, 1886, true}, {0x7fff_ffff, 1887, false},
+		{1 << 62, 1967, true}, {1 << 62, 1968, false},
+	}
+	write := func(m *Memory, pg, n, v uint64) {
+		for i := range n {
+			m.Write((pg<<pageShift+2*i)<<3, v-i%3)
+		}
+	}
+	m, twin := NewMemory(), NewMemory()
+	dup, dense := uint64(len(forms)), forms[1] // a page with page 1's words
+	for _, mem := range []*Memory{m, twin} {
+		for pg, f := range forms {
+			write(mem, uint64(pg), f.n, f.v)
+		}
+		write(mem, dup, dense.n, dense.v)
+		mem.Write(dup<<(pageShift+3)+8, 3) // a word written back to zero
+		mem.Write(dup<<(pageShift+3)+8, 0)
+		mem.Write(1<<(pageShift+3), dense.v) // page 1 in the write cache
+	}
+	var table PageTable
+	m.Freeze(&table)
+	for pg, f := range forms {
+		if sparse := m.pages[uint64(pg)].idx != nil; sparse != f.sparse {
+			t.Errorf("%d words of %#x: sparse is %v, want %v", f.n, f.v, sparse, f.sparse)
+		}
+	}
+	other := NewMemory()
+	write(other, 1, dense.n, dense.v)
+	other.Freeze(&table)
+	switch {
+	case m.pages[dup] != m.pages[1]:
+		t.Error("two identical pages of one memory are two pages")
+	case !m.SharesPage(other, 1<<(pageShift+3)):
+		t.Error("identical pages of two memories frozen through one table are two pages")
+	case table.Len() != len(forms):
+		t.Errorf("the table holds %d pages, want %d", table.Len(), len(forms))
+	case m.Footprint() != len(forms)+1:
+		t.Errorf("footprint = %d pages, want %d", m.Footprint(), len(forms)+1)
+	}
+	m.Write(1<<(pageShift+3), 1)
+	twin.Write(1<<(pageShift+3), 1)
+	if got := other.Read(1 << (pageShift + 3)); got != dense.v {
+		t.Errorf("a write to a frozen page changed the page it shares in another memory: %#x", got)
+	}
+	for _, pair := range [][2]*Memory{{m, twin}, {twin, m}} {
+		pair[0].NonzeroWords(func(addr, v uint64) {
+			if got := pair[1].Read(addr); got != v {
+				t.Fatalf("%#x reads %#x in one memory and %#x in the other", addr, v, got)
+			}
+		})
+	}
+}
+
 // TestConcurrentForksOfOneImage: goroutines fork one frozen image at once
 // and each widens the same pages. Under -race this guards the rule the
 // write cache depends on: Read and Fork never write to the Memory they

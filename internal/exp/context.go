@@ -88,6 +88,11 @@ type sharedState struct {
 	prepared memo.Memo[*Prepared, Event]
 	runs     memo.Memo[*core.Results, Event]
 
+	// pages holds each distinct page of the evaluation images once
+	// (Prepared.Image). Each Prepared points at the table, not into
+	// this struct, so a Prepared kept past its Context keeps no memo.
+	pages *emu.PageTable
+
 	mu        sync.Mutex
 	prepCount map[string]int // times preparation actually executed, per workload
 	runCount  int            // memoized simulations actually executed (cache misses)
@@ -103,7 +108,7 @@ func NewContext(budget uint64) *Context {
 		Budget:      budget,
 		TrainBudget: budget / 2,
 		ctx:         context.Background(),
-		state:       &sharedState{prepCount: make(map[string]int)},
+		state:       &sharedState{prepCount: make(map[string]int), pages: new(emu.PageTable)},
 	}
 	c.watcher = &c.Progress
 	return c
@@ -290,22 +295,26 @@ type Prepared struct {
 	Prof  *core.Profile
 	Set   *core.Set
 
+	pages   *emu.PageTable // where Image interns its pages; nil: its own
 	imgOnce sync.Once
 	img     *emu.Memory
 }
 
 // Image returns the workload's initialized data-memory image, built by
-// running Setup exactly once per Prepared and frozen afterwards. Runs fork
-// it copy-on-write (emu.Memory.Fork) instead of re-executing Setup, which
-// the heap profile showed dominating per-run allocation. The image must
-// never be written directly — only forks are, and core.NewSystemWithMemory
-// makes them.
+// running Setup exactly once per Prepared and then frozen
+// (emu.Memory.Freeze): its pages are immutable, sparse where that halves
+// them, and shared with every byte-identical page of the other images
+// the Context prepared. Runs fork it copy-on-write (emu.Memory.Fork)
+// instead of re-executing Setup, which the heap profile showed
+// dominating per-run allocation; core.NewSystemWithMemory makes the
+// forks.
 func (p *Prepared) Image() *emu.Memory {
 	p.imgOnce.Do(func() {
 		m := emu.NewMemory()
 		if p.Setup != nil {
 			p.Setup(m)
 		}
+		m.Freeze(p.pages)
 		p.img = m
 	})
 	return p.img
@@ -315,9 +324,10 @@ func (p *Prepared) Image() *emu.Memory {
 // workload's own profile and named "<workload>/train", so its runs are
 // keyed apart from the evaluation input's. Fig. 13-b learns its static
 // LCT on it. Each call builds a new Prepared: the run memo keeps a run's
-// Results, and the training image goes with its Prepared instead of
-// living as long as p. The Lab checks workload names against the
-// registry, so no request reaches it.
+// Results, and the training image, whose pages go in a table of its own
+// rather than the Context's, goes with its Prepared instead of living as
+// long as p. The Lab checks workload names against the registry, so no
+// request reaches it.
 func (p *Prepared) Train() *Prepared {
 	w := *p.W
 	w.Name += "/train"
@@ -353,7 +363,7 @@ func (c *Context) prep(name string) *Prepared {
 	trainProg, trainSetup := w.Build(TrainSeed)
 	evalProg, evalSetup := w.Build(EvalSeed)
 	prof := core.Collect(trainProg, trainSetup, c.TrainBudget)
-	return &Prepared{W: w, Prog: evalProg, Setup: evalSetup, Prof: prof, Set: core.Generate(evalProg, prof)}
+	return &Prepared{W: w, Prog: evalProg, Setup: evalSetup, Prof: prof, Set: core.Generate(evalProg, prof), pages: c.state.pages}
 }
 
 // PrepCount reports how many times preparation actually executed for a

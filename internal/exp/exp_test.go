@@ -3,9 +3,11 @@ package exp
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"r3dla/internal/core"
+	"r3dla/internal/emu"
 	"r3dla/internal/pipeline"
 	"r3dla/internal/workloads"
 )
@@ -189,7 +191,9 @@ func TestOptionKeysKeepTheirBytes(t *testing.T) {
 
 // TestPreparedImagesArePacked bounds the frozen evaluation images a
 // Context keeps for its whole life. Stored at 64 bits a word, the 25
-// images take 57.0 MiB; packed at each page's narrowest width, 24.2 MiB.
+// images take 57.0 MiB; packed at each page's narrowest width, 24.2 MiB;
+// frozen, with sparse pages stored sparsely and each distinct page held
+// once, 15.1 MiB.
 func TestPreparedImagesArePacked(t *testing.T) {
 	c := NewContext(2_000)
 	var prepared []*Prepared
@@ -203,14 +207,90 @@ func TestPreparedImagesArePacked(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	before := heap()
+	slots := 0
 	for _, p := range prepared {
-		p.Image()
+		slots += p.Image().Footprint()
 	}
 	growth := heap() - before
 	runtime.KeepAlive(prepared)
-	const maxImages = 32 << 20
-	t.Logf("the %d evaluation images take %.1f MiB of live heap", len(prepared), float64(growth)/(1<<20))
+	const maxImages = 18 << 20
+	pages := c.state.pages.Len()
+	t.Logf("the %d evaluation images take %.1f MiB of live heap, %d distinct pages in %d page slots",
+		len(prepared), float64(growth)/(1<<20), pages, slots)
 	if growth > maxImages {
 		t.Errorf("the evaluation images take %d MiB of live heap, want <= %d MiB", growth>>20, maxImages>>20)
+	}
+	if pages >= slots {
+		t.Errorf("the evaluation images hold %d distinct pages in %d page slots, want fewer pages than slots", pages, slots)
+	}
+}
+
+// sameWords fails t unless got reads every word as want does.
+func sameWords(t *testing.T, name string, got, want *emu.Memory) {
+	t.Helper()
+	for _, pair := range [][2]*emu.Memory{{got, want}, {want, got}} {
+		pair[0].NonzeroWords(func(addr, v uint64) {
+			if a, b := got.Read(addr), want.Read(addr); a != b {
+				t.Fatalf("%s reads %#x at %#x, want %#x", name, a, addr, b)
+			}
+		})
+	}
+}
+
+// TestConcurrentImageBuilds builds the 25 evaluation images from four
+// goroutines through one Context, so their freezes intern pages into one
+// table at once; CI runs it under -race. Each image must read word for
+// word what an unfrozen Setup of its workload reads. bfs and sssp share
+// a CSR page: a write to it through a fork of either image must leave
+// both images and the other fork as they were.
+func TestConcurrentImageBuilds(t *testing.T) {
+	c := NewContext(2_000)
+	names := SuiteNames("all")
+	prepared := make([]*Prepared, len(names))
+	c.ParallelEach(len(names), func(i int) { prepared[i] = c.Prep(names[i]) })
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range prepared {
+				prepared[(i+7*g)%len(prepared)].Image()
+			}
+		}()
+	}
+	wg.Wait()
+	setup := func(p *Prepared) *emu.Memory {
+		m := emu.NewMemory()
+		p.Setup(m)
+		return m
+	}
+	for _, p := range prepared {
+		sameWords(t, p.W.Name+"'s image", p.Image(), setup(p))
+	}
+
+	bfs, sssp := c.Prep("bfs"), c.Prep("sssp")
+	var addr uint64
+	found := false
+	bfs.Image().NonzeroWords(func(a, _ uint64) {
+		if !found && bfs.Image().SharesPage(sssp.Image(), a) {
+			addr, found = a, true
+		}
+	})
+	if !found {
+		t.Fatal("the bfs and sssp images share no page")
+	}
+	fb, fs := bfs.Image().Fork(), sssp.Image().Fork()
+	wantB, wantS := setup(bfs), setup(sssp)
+	old := wantB.Read(addr)
+	fb.Write(addr, old^1)   // at the page's width
+	fs.Write(addr, 1<<40|7) // wider than the page
+	sameWords(t, "the bfs image", bfs.Image(), wantB)
+	sameWords(t, "the sssp image", sssp.Image(), wantS)
+	wantB.Write(addr, old^1)
+	wantS.Write(addr, 1<<40|7)
+	sameWords(t, "the bfs fork", fb, wantB)
+	sameWords(t, "the sssp fork", fs, wantS)
+	if !bfs.Image().SharesPage(sssp.Image(), addr) {
+		t.Error("the bfs and sssp images no longer share the page their forks wrote")
 	}
 }
